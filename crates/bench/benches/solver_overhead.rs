@@ -2,8 +2,8 @@
 //! plus the cold-vs-warm comparison for the revised-simplex solver context.
 //!
 //! Ten GPU types, as in the paper.  The cooperative program has O(n²) envy-freeness
-//! constraints, so its sweep stops earlier than the non-cooperative one (the dense
-//! simplex substrate is the bottleneck, see DESIGN.md); the measured shape — the
+//! constraints; the policy generates them lazily, so its sweep reaches 100 users at
+//! about a second for the cold solve (0.15 s at 50), and the measured shape — the
 //! cooperative mechanism growing much faster than non-cooperative — matches the paper.
 //!
 //! The cold-vs-warm groups measure the per-round LP hot path on a steady-state
@@ -20,7 +20,9 @@
 //! Every warm solve is checked against the oracle objective (1e-6), and the
 //! measured means are written to `BENCH_solver.json` at the workspace root so
 //! future changes can track the speedup trajectory.  `OEF_BENCH_SMOKE=1`
-//! runs only the small-n correctness gates (the CI smoke step).
+//! runs only the small-n correctness gates (the CI smoke step), which include
+//! the cooperative one: the policy's row generation must reach the eager
+//! full-row program's optimum, and reach it faster than that program solves cold.
 
 use criterion::{BenchmarkId, Criterion};
 use oef_core::{AllocationPolicy, ClusterSpec, CooperativeOef, NonCooperativeOef, SpeedupMatrix};
@@ -69,7 +71,7 @@ fn bench_noncoop(c: &mut Criterion) {
 fn bench_coop(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig10a_cooperative_oef");
     group.sample_size(10);
-    for &n in &[5usize, 10, 20, 30] {
+    for &n in &[5usize, 10, 20, 30, 50, 100] {
         let (cluster, users) = instance(n, 1000 + n as u64);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             let policy = CooperativeOef::default();
@@ -77,6 +79,77 @@ fn bench_coop(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+/// Builds the *eager* cooperative LP of problem (10): every one of the
+/// `n(n-1)` envy rows present — the program `CooperativeOef` solved before it
+/// generated rows lazily, kept here as its oracle.
+fn build_eager_coop_problem(cluster: &ClusterSpec, speedups: &SpeedupMatrix) -> Problem {
+    let n = speedups.num_users();
+    let k = cluster.num_gpu_types();
+    let mut problem = Problem::new(Sense::Maximize);
+    let vars = problem.add_variables("x", n * k);
+    for l in 0..n {
+        for j in 0..k {
+            problem.set_objective_coefficient(vars[l * k + j], speedups.speedup(l, j));
+        }
+    }
+    for j in 0..k {
+        let terms: Vec<_> = (0..n).map(|l| (vars[l * k + j], 1.0)).collect();
+        problem.add_constraint(&terms, ConstraintOp::Le, cluster.capacity(j));
+    }
+    for l in 0..n {
+        for i in (0..n).filter(|&i| i != l) {
+            let mut terms: Vec<_> = (0..k)
+                .map(|j| (vars[l * k + j], speedups.speedup(l, j)))
+                .collect();
+            terms.extend((0..k).map(|j| (vars[i * k + j], -speedups.speedup(l, j))));
+            problem.add_constraint(&terms, ConstraintOp::Ge, 0.0);
+        }
+    }
+    problem
+}
+
+/// Cooperative gate: at each size the policy's first (cold) allocate must
+/// reach the dense optimum of the eager program to 1e-6, in less time than a
+/// cold revised solve of that program — best of three on both sides.
+fn gate_coop_lazy_vs_eager() {
+    for n in [8usize, 20] {
+        let (cluster, users) = instance(n, 1000 + n as u64);
+        let eager = build_eager_coop_problem(&cluster, &users);
+        let reference = eager.solve().unwrap().objective_value();
+        let best_of_three = |run: &dyn Fn() -> f64| -> f64 {
+            (0..3)
+                .map(|_| {
+                    let started = std::time::Instant::now();
+                    let objective = run();
+                    let secs = started.elapsed().as_secs_f64();
+                    assert!(
+                        (objective - reference).abs() < 1e-6 * (1.0 + reference.abs()),
+                        "n={n}: objective {objective} vs eager dense oracle {reference}"
+                    );
+                    secs
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let lazy = best_of_three(&|| {
+            CooperativeOef::default()
+                .allocate(&cluster, &users)
+                .unwrap()
+                .total_efficiency(&users)
+        });
+        let eager_cold = best_of_three(&|| {
+            SolverContext::new()
+                .solve(&eager)
+                .unwrap()
+                .objective_value()
+        });
+        println!("gate coop_lazy_vs_eager/{n}: lazy {lazy:.6}s, eager cold {eager_cold:.6}s");
+        assert!(
+            lazy < eager_cold,
+            "n={n}: lazy cold allocate {lazy}s is not faster than the eager cold solve {eager_cold}s"
+        );
+    }
 }
 
 /// Builds the non-cooperative OEF LP of problem (9) for one round's reports.
@@ -372,6 +445,7 @@ fn main() {
         bench_noncoop(&mut criterion);
         bench_coop(&mut criterion);
     }
+    gate_coop_lazy_vs_eager();
     let mut points = Vec::new();
     bench_cold_vs_warm(&mut criterion, &mut points, smoke);
     if !smoke {

@@ -1,14 +1,17 @@
 //! Figure 10 — scheduler overhead and sensitivity to profiling error.
 //!
 //! (a) Wall-clock time to solve the OEF allocation program as the number of users
-//!     grows, with ten GPU types (the paper sweeps 100-300 users; the cooperative
-//!     program's O(n²) constraints are heavier for the dense simplex substrate used
-//!     here, so its sweep is run at a reduced scale — the shape, cooperative growing
-//!     much faster than non-cooperative, is what matters).  Since PR 1 every OEF
-//!     policy keeps a warm-start `oef_lp::SolverContext` behind `allocate`, so the
-//!     harness now measures what a *deployed* scheduler pays: one cold solve when
-//!     the tenant mix first appears, then warm re-solves round after round as the
-//!     reported speedups drift.  Both numbers are reported per size.
+//!     grows, with ten GPU types (the paper sweeps 100-300 users).  The cooperative
+//!     program has O(n²) envy rows; the policy generates them lazily, which carries
+//!     its sweep through 50 users in well under a second a point and to 100 in about
+//!     one (150 takes ~7 s — the shape, cooperative growing much faster than
+//!     non-cooperative, is the paper's).
+//!     Every OEF policy keeps a warm-start `oef_lp::SolverContext` behind
+//!     `allocate`, so the harness measures what a *deployed* scheduler pays: one
+//!     cold solve when the tenant mix first appears, then warm re-solves round
+//!     after round as the reported speedups drift — here *every* tenant's whole
+//!     profile each round, the worst case for the cooperative working set.  Both
+//!     numbers are reported per size.
 //! (b) Deviation between the throughput OEF promises based on (noisy) reported
 //!     profiles and the throughput achieved with the true profiles, as the profiling
 //!     error grows to ±20%.
@@ -98,7 +101,7 @@ fn time_rounds(
 
 fn fig10a() {
     let noncoop_sizes = [50usize, 100, 150, 200, 300];
-    let coop_sizes = [10usize, 20, 30, 40];
+    let coop_sizes = [10usize, 20, 30, 40, 50, 100];
 
     let mut rows = Vec::new();
     let mut json = Vec::new();

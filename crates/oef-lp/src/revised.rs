@@ -63,6 +63,16 @@ const DRIFT_TOL: f64 = 1e-6;
 /// Cap on the pricing candidate list refilled by each rotating scan.
 const PRICING_CANDIDATES: usize = 64;
 
+/// Pivot budget of one warm attempt (dual repair plus phase 2).  A warm start
+/// exists to be cheaper than a cold solve, and a warm phase 2 that cycles
+/// would otherwise spin to `max_iterations` (a million pivots, minutes)
+/// before the cold path even starts; an attempt over budget is abandoned and
+/// the solve runs cold.  Generous enough that no healthy warm solve gets near
+/// it — they finish in a handful of pivots.
+fn warm_pivot_budget(form: &StandardForm) -> usize {
+    (20 * (form.rows + form.cols)).max(1_000)
+}
+
 /// Reusable solver state: buffers plus the cached basis of the last solve.
 ///
 /// ```
@@ -98,6 +108,10 @@ pub struct SolverContext {
     churn_repairs: u64,
     last_was_warm: bool,
     scratch: Scratch,
+    /// Test hook: replaces [`warm_pivot_budget`] so a unit test can push a
+    /// small program over it.
+    #[cfg(test)]
+    warm_budget_override: Option<usize>,
 }
 
 /// What kind of standard-form column a cached basic column was — the key for
@@ -395,14 +409,21 @@ impl SolverContext {
 
     /// Attempts a warm-started phase-2 solve from `basis`.  Returns
     /// `Ok(None)` when the cached basis is unusable (singular, unrepairable,
-    /// or phase 2 ran out of pivots) so the caller can fall back to a cold
-    /// solve.
+    /// or the attempt ran out of its [`warm_pivot_budget`]) so the caller can
+    /// fall back to a cold solve.
     fn try_warm(
         &mut self,
         problem: &Problem,
         form: &StandardForm,
         basis: &[usize],
     ) -> Result<Option<Solution>> {
+        let budget = warm_pivot_budget(form);
+        #[cfg(test)]
+        let budget = self.warm_budget_override.unwrap_or(budget);
+        let options = SimplexOptions {
+            max_iterations: self.options.max_iterations.min(budget),
+            ..self.options.clone()
+        };
         let s = &mut self.scratch;
         s.basis.clear();
         s.basis.extend_from_slice(basis);
@@ -420,7 +441,7 @@ impl SolverContext {
             // violated).  It is usually still (near-)dual feasible, so a
             // short dual-simplex repair restores primal feasibility in a
             // handful of pivots instead of a full two-phase cold solve.
-            if !run_dual_repair(s, form, &self.options, &mut iterations) {
+            if !run_dual_repair(s, form, &options, &mut iterations) {
                 // Not dual feasible either (or the repair stalled, or the
                 // program looks infeasible from here): let the cold path
                 // re-derive the answer from scratch rather than trusting a
@@ -448,7 +469,7 @@ impl SolverContext {
             }
         }
 
-        match run_revised_phase(s, form, Phase::Two, &self.options, &mut iterations) {
+        match run_revised_phase(s, form, Phase::Two, &options, &mut iterations) {
             Ok(()) => Ok(Some(extract_solution(s, form, problem, iterations, true))),
             Err(LpError::IterationLimit { .. }) => Ok(None),
             Err(other) => Err(other),
@@ -1559,6 +1580,43 @@ mod tests {
         let warm = ctx.solve(&p).unwrap();
         assert!(warm.stats().warm_start);
         assert_close(warm.objective_value(), 1.0);
+    }
+
+    #[test]
+    fn warm_attempt_over_its_pivot_budget_falls_through_to_cold() {
+        // The degenerate vertex above, re-priced so the cached basis needs
+        // phase-2 pivots; with the warm budget forced to one pivot the
+        // attempt must be abandoned — not spun to `max_iterations` — and
+        // the cold path must deliver the optimum.
+        let mut p = Problem::new(Sense::Maximize);
+        let x = p.add_variable("x");
+        let y = p.add_variable("y");
+        p.set_objective_coefficient(x, 1.0);
+        p.set_objective_coefficient(y, 2.0);
+        p.add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Le, 1.0);
+        p.add_constraint(&[(x, 1.0)], ConstraintOp::Le, 1.0);
+        p.add_constraint(&[(y, 1.0)], ConstraintOp::Le, 1.0);
+        p.add_constraint(&[(x, 2.0), (y, 1.0)], ConstraintOp::Le, 2.0);
+        let mut ctx = SolverContext::new();
+        ctx.solve(&p).unwrap();
+        assert_eq!(ctx.stats().cold_solves, 1);
+
+        // Unbudgeted, the re-priced program is an ordinary warm solve.
+        p.update_objective_coefficient(x, 3.0);
+        p.update_rhs(0, 1.5);
+        let mut unbudgeted = SolverContext::new();
+        unbudgeted.cache.clone_from(&ctx.cache);
+        let warm = unbudgeted.solve(&p).unwrap();
+        assert!(warm.stats().warm_start);
+        assert!(warm.stats().iterations > 1, "needs more than one pivot");
+
+        ctx.warm_budget_override = Some(1);
+        let s = ctx.solve(&p).unwrap();
+        assert!(!s.stats().warm_start);
+        assert_eq!(ctx.stats().cold_solves, 2);
+        assert_eq!(ctx.stats().warm_solves, 0);
+        assert_close(s.objective_value(), p.solve().unwrap().objective_value());
+        assert_close(s.objective_value(), warm.objective_value());
     }
 
     #[test]

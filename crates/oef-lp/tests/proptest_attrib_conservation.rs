@@ -10,6 +10,10 @@
 //! is one attributed pivot and every refactorization is charged somewhere.
 //! No work leaks out of the report, none is double-counted into it, no
 //! matter how tenants churn between solves.
+//!
+//! A second property covers the cooperative program's shape: no tenant
+//! churn, but envy rows appended mid-sequence in one journaled edit (row
+//! generation), with the owner maps declared only when the shape changed.
 
 use oef_lp::{
     AttributionReport, ConstraintOp, LinearExpr, Problem, Sense, SolverContext, Variable, NO_OWNER,
@@ -194,5 +198,109 @@ proptest! {
             lifetime.pivots == 0 || acc.slots.iter().any(|w| !w.is_zero()),
             "pivots happened but none landed on a tenant slot"
         );
+    }
+
+    /// The cooperative policy's pattern: a fixed tenant-major variable space,
+    /// capacity rows, and envy rows `(l, i)` that arrive in batches through
+    /// `add_tenant_rows("", 0, ..)` between solves.  Owner maps are declared
+    /// once per shape — data-only rounds must keep resolving every slot from
+    /// the maps the problem already carries.
+    #[test]
+    fn attribution_conserves_context_stats_while_envy_rows_grow(
+        (k, weights, caps) in (2usize..=3).prop_flat_map(|k| (
+            Just(k),
+            proptest::collection::vec(proptest::collection::vec(1.0..3.0f64, k), 3..=6),
+            proptest::collection::vec(2.0..8.0f64, k),
+        )),
+        batches in proptest::collection::vec(
+            proptest::collection::vec((0usize..6, 0usize..6), 0..=4),
+            6,
+        ),
+        scales in proptest::collection::vec((0usize..6, 0.9..1.1f64), 6),
+    ) {
+        let n = weights.len();
+        let mut weights = weights;
+        let mut p = Problem::new(Sense::Maximize);
+        let vars = p.add_variables("x", n * k);
+        for (l, w) in weights.iter().enumerate() {
+            for j in 0..k {
+                p.set_objective_coefficient(vars[l * k + j], w[j]);
+            }
+        }
+        for (j, cap) in caps.iter().enumerate() {
+            let terms: Vec<_> = (0..n).map(|l| (vars[l * k + j], 1.0)).collect();
+            p.add_constraint(&terms, ConstraintOp::Le, *cap);
+        }
+        // The `(l, i)` of every envy row appended so far, in row order.
+        let mut envy_rows: Vec<(usize, usize)> = Vec::new();
+        let mut declared_rows = usize::MAX;
+        let mut ctx = SolverContext::new();
+        let mut acc = AttributionReport::default();
+        let mut last = ctx.stats();
+
+        for (step, (batch, (slot, factor))) in batches.iter().zip(&scales).enumerate() {
+            // Re-profile one tenant: its objective block and its envy rows.
+            let l = slot % n;
+            for w in weights[l].iter_mut().skip(1) {
+                *w *= factor;
+            }
+            for j in 0..k {
+                p.update_objective_coefficient(vars[l * k + j], weights[l][j]);
+            }
+            for (r, &(_, i)) in envy_rows.iter().enumerate().filter(|(_, row)| row.0 == l) {
+                for j in 0..k {
+                    p.update_constraint_coefficient(k + r, vars[l * k + j], weights[l][j]);
+                    p.update_constraint_coefficient(k + r, vars[i * k + j], -weights[l][j]);
+                }
+            }
+            // Grow the working set: every fresh (l, i) pair of this batch.
+            let pairs: Vec<(usize, usize)> = batch
+                .iter()
+                .map(|&(l, i)| (l % n, i % n))
+                .filter(|&(l, i)| l != i)
+                .collect();
+            if !pairs.is_empty() {
+                p.add_tenant_rows("", 0, |_| {
+                    pairs
+                        .iter()
+                        .map(|&(l, i)| {
+                            let mut expr = LinearExpr::new();
+                            for j in 0..k {
+                                expr.add_term(vars[l * k + j], weights[l][j]);
+                            }
+                            for j in 0..k {
+                                expr.add_term(vars[i * k + j], -weights[l][j]);
+                            }
+                            (expr, ConstraintOp::Ge, 0.0)
+                        })
+                        .collect()
+                });
+                envy_rows.extend(&pairs);
+            }
+            if declared_rows != p.num_constraints() {
+                declared_rows = p.num_constraints();
+                let var_owner = (0..n * k).map(|v| (v / k) as u32).collect();
+                let mut row_owner = vec![NO_OWNER; k];
+                row_owner.extend(envy_rows.iter().map(|&(l, _)| l as u32));
+                p.set_attribution_owners(var_owner, row_owner);
+            }
+
+            ctx.solve(&p).map_err(|e| {
+                TestCaseError::fail(format!("step {step}: context solve failed: {e:?}"))
+            })?;
+            let report = ctx.last_attribution().clone();
+            prop_assert_eq!(report.slots.len(), n, "step {}: owner maps went stale", step);
+            let now = ctx.stats();
+            prop_assert_eq!(report.total().pivots, now.eta_pivots - last.eta_pivots);
+            prop_assert_eq!(
+                report.total().refactorizations,
+                now.refactorizations - last.refactorizations
+            );
+            last = now;
+            acc.merge(&report);
+        }
+        let stats = ctx.stats();
+        prop_assert_eq!(acc.total().pivots, stats.eta_pivots);
+        prop_assert_eq!(acc.total().refactorizations, stats.refactorizations);
     }
 }
