@@ -253,6 +253,24 @@ impl<T: Serialize> Serialize for HandleMap<T> {
             ("values".to_string(), self.values.serialize()),
         ])
     }
+
+    fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
+        out.push_str("{\"slots\":[");
+        for (i, s) in self.slots.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            (s.generation, s.index, s.occupied).write_json(out)?;
+        }
+        out.push_str("],\"free_head\":");
+        self.free_head.write_json(out)?;
+        out.push_str(",\"handles\":");
+        self.handles.write_json(out)?;
+        out.push_str(",\"values\":");
+        self.values.write_json(out)?;
+        out.push('}');
+        Ok(())
+    }
 }
 
 impl<T: Deserialize> Deserialize for HandleMap<T> {

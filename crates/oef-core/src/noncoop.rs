@@ -24,12 +24,17 @@ use serde::{Deserialize, Serialize};
 /// which tenant actually left is irrelevant to the structure, and keeping the
 /// edits journaled ([`Problem::add_tenant_rows`] /
 /// [`Problem::remove_tenant_rows`]) lets the solver context repair its basis
-/// across the join/leave instead of cold-solving.
+/// across the join/leave instead of cold-solving.  Which tenant left does
+/// matter to the *basis*, which [`tenant_moves`] keeps pointing at the tenants
+/// it was computed for.
 #[derive(Debug)]
 pub(crate) struct TenantMajorProgram {
     problem: Problem,
     n: usize,
     k: usize,
+    /// Last round's speedups, tenant-major: what [`tenant_moves`] matches
+    /// this round's rows against to see who moved.
+    profiles: Vec<f64>,
 }
 
 impl TenantMajorProgram {
@@ -47,23 +52,105 @@ impl TenantMajorProgram {
     }
 }
 
+/// Where last round's tenants sit this round: `to[old block] = new block`, a
+/// permutation of the old blocks, or `None` when nobody moved.
+///
+/// The policy sees a dense tenant list that compacts when a tenant leaves
+/// (everyone behind the leaver shifts down one block) and grows at the end.
+/// The program's rows are rewritten by position either way, but the solver's
+/// cached basis describes *tenants*: read by position after a mid-list leave,
+/// every shifted tenant would start from its neighbour's basic columns and a
+/// one-tenant change would cost a repair the size of half the population
+/// (measured at 500 tenants: ~300 pivots, and as many as the neighbours
+/// happen to differ).  Tenants carry no identity here, so survivors are
+/// recognised by their unchanged profile; a block that matches nobody (a
+/// departed tenant's) is handed to whoever fills the seat left over (the
+/// newcomer's, which so inherits the leaver's place in the basis).  A wrong
+/// guess — two tenants with one profile, a re-profile in the same round —
+/// costs pivots, never correctness.
+fn tenant_moves(old: &[f64], speedups: &SpeedupMatrix, k: usize) -> Option<Vec<usize>> {
+    let n_old = old.len() / k;
+    let old_row = |o: usize| &old[o * k..(o + 1) * k];
+    let same = |l: usize, o: usize| speedups.user(l).as_slice() == old_row(o);
+    let n = speedups.num_users();
+    let mut to = vec![usize::MAX; n_old];
+    let mut seated = vec![false; n_old];
+    let mut moved = false;
+    let mut o = 0;
+    for l in 0..n {
+        if o >= n_old {
+            break;
+        }
+        // Not the next survivor, and the one after does not line up either:
+        // tenants `o..c` left and `l` is `c`.  (If the one after lines up, `l`
+        // was re-profiled in place — the common case, settled in one compare.)
+        let in_place = same(l, o) || (l + 1 < n && o + 1 < n_old && same(l + 1, o + 1));
+        if !in_place {
+            if let Some(c) = (o + 1..n_old).find(|&c| same(l, c)) {
+                o = c;
+                moved = true;
+            }
+        }
+        to[o] = l;
+        seated[l] = true;
+        o += 1;
+    }
+    if !moved {
+        return None;
+    }
+    let mut free = (0..n_old).filter(|&l| !seated[l]);
+    for t in to.iter_mut().filter(|t| **t == usize::MAX) {
+        *t = free.next().expect("as many free seats as unseated blocks");
+    }
+    Some(to)
+}
+
+/// The variable and row permutations of a block permutation `to` (see
+/// [`tenant_moves`]), for [`oef_lp::SolverContext::relabel_cached_basis`].
+/// Tenant 0 has no equal-throughput row; when it changes, the row of the
+/// tenant that became 0 goes to the block the old tenant 0 went to.
+fn block_relabelling(to: &[usize], k: usize) -> (Vec<usize>, Vec<usize>) {
+    let var_to = to
+        .iter()
+        .flat_map(|&t| (0..k).map(move |j| t * k + j))
+        .collect();
+    let mut row_to: Vec<usize> = (0..k + to.len() - 1).collect();
+    for (o, &t) in to.iter().enumerate().skip(1) {
+        row_to[k + o - 1] = k + if t == 0 { to[0] } else { t } - 1;
+    }
+    (var_to, row_to)
+}
+
 /// Brings the cached program in sync with this round's `(cluster, speedups)`:
 /// structural churn first (journaled), then an in-place rewrite of every data
 /// coefficient.  Rebuilds from scratch only when the GPU-type axis changed or
-/// nothing is cached yet.
+/// nothing is cached yet.  Returns the relabelling the solver's cached basis
+/// needs before the next solve, if tenants moved between blocks.
 fn sync_noncoop_program(
     slot: &mut Option<TenantMajorProgram>,
     cluster: &ClusterSpec,
     speedups: &SpeedupMatrix,
-) {
+) -> Option<(Vec<usize>, Vec<usize>)> {
     let n = speedups.num_users();
     let k = cluster.num_gpu_types();
     let structure_ok = matches!(slot, Some(p) if p.k == k && p.n >= 1);
     if !structure_ok {
         let (problem, _) = NonCooperativeOef::build_problem(cluster, speedups);
-        *slot = Some(TenantMajorProgram { problem, n, k });
+        *slot = Some(TenantMajorProgram {
+            problem,
+            n,
+            k,
+            profiles: Vec::new(),
+        });
     }
     let prog = slot.as_mut().expect("just populated");
+    let relabel = tenant_moves(&prog.profiles, speedups, k).map(|to| block_relabelling(&to, k));
+    prog.profiles.clear();
+    prog.profiles.extend(
+        speedups
+            .iter()
+            .flat_map(|row| row.as_slice().iter().copied()),
+    );
 
     // Tenant leave(s): drop trailing tenant blocks down to n (never below 1;
     // callers reject n == 0 before reaching here).
@@ -122,6 +209,7 @@ fn sync_noncoop_program(
     }
 
     set_noncoop_owner_maps(prog);
+    relabel
 }
 
 /// Declares the tenant-major owner maps for solver work attribution:
@@ -248,7 +336,9 @@ impl AllocationPolicy for NonCooperativeOef {
         }
 
         let mut slot = self.program.lock();
-        sync_noncoop_program(&mut slot, cluster, speedups);
+        if let Some((var_to, row_to)) = sync_noncoop_program(&mut slot, cluster, speedups) {
+            self.context.relabel_cached_basis(&var_to, &row_to);
+        }
         let prog = slot.as_ref().expect("synced");
         // `solve_with` re-syncs from the public field, so mutations of
         // `self.solver_options` (or a serde round trip) stay authoritative.
@@ -269,12 +359,13 @@ impl AllocationPolicy for NonCooperativeOef {
         }
         // Exclusive access: skip both cells' mutexes entirely.
         let slot = self.program.get_mut();
-        sync_noncoop_program(slot, cluster, speedups);
+        let relabel = sync_noncoop_program(slot, cluster, speedups);
         let prog = slot.as_ref().expect("synced");
-        let solution = self
-            .context
-            .get_mut()
-            .solve_with(&prog.problem, &self.solver_options)?;
+        let context = self.context.get_mut();
+        if let Some((var_to, row_to)) = relabel {
+            context.relabel_cached_basis(&var_to, &row_to);
+        }
+        let solution = context.solve_with(&prog.problem, &self.solver_options)?;
         extract_tenant_major(&solution, prog)
     }
 
@@ -399,6 +490,112 @@ mod tests {
         policy.solver_options.max_iterations = 1_000_000;
         let via_mut = policy.allocate_mut(&cluster, &speedups).unwrap();
         assert!(via_mut.is_feasible(&cluster));
+    }
+
+    /// `n` distinct, deterministic three-type profiles.
+    fn distinct_rows(n: usize) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|l| {
+                let mid = 1.1 + 0.9 * ((l * 37 % 101) as f64 / 101.0);
+                vec![1.0, mid, mid + 0.2 + 1.5 * ((l * 53 % 89) as f64 / 89.0)]
+            })
+            .collect()
+    }
+
+    fn flat(rows: &[Vec<f64>]) -> Vec<f64> {
+        rows.concat()
+    }
+
+    #[test]
+    fn tenant_moves_follows_survivors_of_a_mid_list_leave() {
+        let old = distinct_rows(6);
+        let newcomer = vec![1.0, 1.05, 3.3];
+        let moves = |new: Vec<Vec<f64>>| {
+            tenant_moves(&flat(&old), &SpeedupMatrix::from_rows(new).unwrap(), 3)
+        };
+
+        // Nobody moved: same rows, a re-profile in place, a join at the end.
+        assert_eq!(moves(old.clone()), None);
+        let mut reprofiled = old.clone();
+        reprofiled[2] = newcomer.clone();
+        assert_eq!(moves(reprofiled), None);
+        let mut joined = old.clone();
+        joined.push(newcomer.clone());
+        assert_eq!(moves(joined), None);
+
+        // Tenant 2 left, a newcomer joined at the end: 3..6 shift down and the
+        // leaver's block goes to the newcomer's seat.
+        let mut churned = old.clone();
+        churned.remove(2);
+        churned.push(newcomer.clone());
+        assert_eq!(moves(churned.clone()), Some(vec![0, 1, 5, 2, 3, 4]));
+        // The same leave without a join: the leaver's block becomes the
+        // trailing one, which is the block the journaled removal then drops.
+        churned.pop();
+        assert_eq!(moves(churned), Some(vec![0, 1, 5, 2, 3, 4]));
+
+        // Tenant 0 left: the rowless block changes hands.
+        let mut head = old.clone();
+        head.remove(0);
+        head.push(newcomer);
+        let to = moves(head).expect("everyone shifted");
+        assert_eq!(to, vec![5, 0, 1, 2, 3, 4]);
+        let (var_to, row_to) = block_relabelling(&to, 3);
+        assert_eq!(&var_to[..6], &[15, 16, 17, 0, 1, 2]);
+        // Capacity rows stay; old tenant 1's row goes where old tenant 0 went.
+        assert_eq!(row_to, vec![0, 1, 2, 7, 3, 4, 5, 6]);
+        for map in [var_to, row_to] {
+            let mut seen = map.clone();
+            seen.sort_unstable();
+            assert!(seen.iter().copied().eq(0..map.len()), "{map:?} permutes");
+        }
+    }
+
+    #[test]
+    fn mid_list_churn_is_a_short_repair() {
+        let cluster =
+            ClusterSpec::homogeneous_counts(&["a", "b", "c"], &[40.0, 30.0, 20.0]).unwrap();
+        let n = 60;
+        let mut rows = distinct_rows(n + 8);
+        let mut newcomers = rows.split_off(n);
+        let mut policy = NonCooperativeOef::default();
+        policy
+            .allocate_mut(&cluster, &SpeedupMatrix::from_rows(rows.clone()).unwrap())
+            .unwrap();
+        // A leave and a join in one round (the shape stays), then leaves alone
+        // (a migration's source shard: the journaled row removal).
+        let swaps = [17, 0, 58, 31, 3, 44, 1, 29].map(|leaver| (leaver, true));
+        let leaves = [40, 0, 22, 5].map(|leaver| (leaver, false));
+        for (round, (leaver, join)) in swaps.into_iter().chain(leaves).enumerate() {
+            rows.remove(leaver);
+            if join {
+                rows.push(newcomers.pop().unwrap());
+            }
+            let speedups = SpeedupMatrix::from_rows(rows.clone()).unwrap();
+            let before = policy.solver_context().stats();
+            let warm = policy.allocate_mut(&cluster, &speedups).unwrap();
+            let after = policy.solver_context().stats();
+            assert_eq!(after.cold_solves, before.cold_solves, "round {round}");
+            // Read by position the basis would be off for every tenant behind
+            // the leaver (dozens of pivots here); relabelled, one tenant changed.
+            let pivots = after.eta_pivots - before.eta_pivots;
+            assert!(
+                pivots <= 12,
+                "round {round}: {pivots} pivots for one tenant"
+            );
+
+            let cold = NonCooperativeOef::default()
+                .allocate(&cluster, &speedups)
+                .unwrap();
+            let (warm_eff, cold_eff) = (
+                warm.user_efficiencies(&speedups),
+                cold.user_efficiencies(&speedups),
+            );
+            assert!(warm.is_feasible(&cluster));
+            for (w, c) in warm_eff.iter().zip(&cold_eff) {
+                assert!((w - c).abs() < 1e-6, "round {round}: warm {w} vs cold {c}");
+            }
+        }
     }
 
     #[test]

@@ -101,6 +101,10 @@ impl Serialize for TenantIndexMap {
     fn serialize(&self) -> serde::Value {
         self.map.serialize()
     }
+
+    fn write_json(&self, out: &mut String) -> std::result::Result<(), serde::Error> {
+        self.map.write_json(out)
+    }
 }
 
 impl Deserialize for TenantIndexMap {

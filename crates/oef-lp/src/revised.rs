@@ -308,6 +308,64 @@ impl SolverContext {
         self.cache = None;
     }
 
+    /// Re-labels the cached basis for a caller that is about to rewrite the
+    /// cached problem's data so that what variable `v` and row `r` described
+    /// is described by variable `var_to[v]` and row `row_to[r]` from now on
+    /// (both maps are permutations of the cached shape; `row_to[r]` must be
+    /// a row of the same operator and right-hand-side sign as `r`).
+    ///
+    /// A basis is a statement about *what* is basic, and a warm start maps it
+    /// onto the next problem by position.  A caller whose layout is
+    /// positional — a tenant-major program over a dense, compacting tenant
+    /// list — shifts every later block when one entity leaves mid-list;
+    /// without this call each shifted entity inherits its neighbour's basic
+    /// columns and the warm start repairs them all.  Purely a hint: any
+    /// labelling is a valid starting point for the repair machinery, and one
+    /// that does not fit the cached shape just drops the cache (cold solve).
+    pub fn relabel_cached_basis(&mut self, var_to: &[usize], row_to: &[usize]) {
+        let Some(cache) = self.cache.as_mut() else {
+            return;
+        };
+        // `cache` is only ever set right after the solve that laid out
+        // `scratch`, so the scratch layout is the cached shape's.
+        let s = &self.scratch;
+        let rows = cache.basis.len();
+        let mut hit = vec![false; rows];
+        let permutes = row_to.len() == rows
+            && rows == s.slack_of_row.len()
+            && row_to
+                .iter()
+                .all(|&r| r < rows && !std::mem::replace(&mut hit[r], true));
+        let relabelled: Option<Vec<(usize, ColKind)>> = permutes
+            .then(|| {
+                let relabel = |kind: &ColKind| match *kind {
+                    ColKind::Structural(v) => {
+                        let to = *var_to.get(v)?;
+                        Some((to, ColKind::Structural(to)))
+                    }
+                    ColKind::Slack(r) => {
+                        s.slack_of_row[row_to[r]].map(|c| (c, ColKind::Slack(row_to[r])))
+                    }
+                    ColKind::Artificial(r) => {
+                        s.artificial_of_row[row_to[r]].map(|c| (c, ColKind::Artificial(row_to[r])))
+                    }
+                };
+                cache.kinds.iter().map(relabel).collect()
+            })
+            .flatten();
+        let Some(columns) = relabelled else {
+            self.cache = None;
+            return;
+        };
+        // Basis positions move with their rows: a same-shape warm start does
+        // not care about the order, but `remap_churn_basis` reads position `p`
+        // as "the column that came in for row `p`" when a row is removed.
+        for (position, (col, kind)) in columns.into_iter().enumerate() {
+            cache.basis[row_to[position]] = col;
+            cache.kinds[row_to[position]] = kind;
+        }
+    }
+
     /// Solves with the given options, updating the context's options first if
     /// they differ.  The cached basis stays valid across option changes (it
     /// describes the previous optimum, not the tolerances used to reach it).
@@ -524,11 +582,13 @@ fn make_cache(s: &Scratch, problem: &Problem, signature: u64) -> BasisCache {
 
 /// Maps a cached basis onto the standard form of a churn-edited problem:
 /// surviving structural columns follow the variable map, slack/artificial
-/// columns follow their row, removed columns and brand-new rows fall back to
-/// the new row's own slack/artificial.  Returns `None` when the journal
-/// cannot bridge the epochs or no collision-free assignment exists (the
-/// caller cold-solves; a singular remap is also caught later by
-/// factorization).
+/// columns follow their row.  A basis is a *set* of columns, so a survivor
+/// that sat at a removed row's position moves to a position a removed column
+/// vacated; only positions still empty after that (brand-new rows, or more
+/// columns removed than rows) fall back to the new row's own
+/// slack/artificial.  Returns `None` when the journal cannot bridge the
+/// epochs or no collision-free assignment exists (the caller cold-solves; a
+/// singular remap is also caught later by factorization).
 fn remap_churn_basis(
     s: &Scratch,
     form: &StandardForm,
@@ -541,10 +601,8 @@ fn remap_churn_basis(
     }
     let mut used = vec![false; form.cols];
     let mut out = vec![usize::MAX; form.rows];
+    let mut displaced = Vec::new();
     for (old_row, kind) in cache.kinds.iter().enumerate() {
-        let Some(new_row) = row_map[old_row] else {
-            continue;
-        };
         let col = match *kind {
             ColKind::Structural(v) => var_map.get(v).copied().flatten(),
             ColKind::Slack(r) => row_map
@@ -558,22 +616,29 @@ fn remap_churn_basis(
                 .flatten()
                 .and_then(|nr| s.artificial_of_row[nr]),
         };
-        if let Some(col) = col {
-            if !used[col] {
-                used[col] = true;
-                out[new_row] = col;
-            }
+        let Some(col) = col.filter(|&c| !used[c]) else {
+            continue;
+        };
+        used[col] = true;
+        match row_map[old_row] {
+            Some(new_row) => out[new_row] = col,
+            None => displaced.push(col),
         }
     }
     for (row, slot) in out.iter_mut().enumerate() {
         if *slot != usize::MAX {
             continue;
         }
-        let own = s.slack_of_row[row]
-            .filter(|&c| !used[c])
-            .or_else(|| s.artificial_of_row[row].filter(|&c| !used[c]))?;
-        used[own] = true;
-        *slot = own;
+        *slot = match displaced.pop() {
+            Some(col) => col,
+            None => {
+                let own = s.slack_of_row[row]
+                    .filter(|&c| !used[c])
+                    .or_else(|| s.artificial_of_row[row].filter(|&c| !used[c]))?;
+                used[own] = true;
+                own
+            }
+        };
     }
     Some(out)
 }
@@ -1339,6 +1404,12 @@ impl ContextCell {
         self.lock().invalidate();
     }
 
+    /// Re-labels the cached basis (see
+    /// [`SolverContext::relabel_cached_basis`]).
+    pub fn relabel_cached_basis(&self, var_to: &[usize], row_to: &[usize]) {
+        self.lock().relabel_cached_basis(var_to, row_to);
+    }
+
     /// Direct mutable access when the cell is uniquely owned.
     pub fn get_mut(&mut self) -> &mut SolverContext {
         self.inner
@@ -1423,6 +1494,55 @@ mod tests {
         assert_close(warm.objective_value(), cold.objective_value());
         assert!(ctx.last_was_warm());
         assert_eq!(ctx.stats().warm_solves, 1);
+    }
+
+    /// max Σ c_i x_i s.t. Σ x_i <= 10 and x_i <= cap_i, with entity `e`'s
+    /// `(c, cap)` written into variable and bound row `seat[e]`.
+    fn seated_problem(seat: [usize; 3]) -> Problem {
+        let data = [(3.0, 2.0), (2.0, 3.0), (1.0, 8.0)];
+        let mut p = Problem::new(Sense::Maximize);
+        let vars: Vec<Variable> = (0..3).map(|i| p.add_variable(format!("x{i}"))).collect();
+        let all: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
+        p.add_constraint(&all, ConstraintOp::Le, 10.0);
+        for i in 0..3 {
+            let e = seat.iter().position(|&s| s == i).unwrap();
+            p.set_objective_coefficient(vars[i], data[e].0);
+            p.add_constraint(&[(vars[i], 1.0)], ConstraintOp::Le, data[e].1);
+        }
+        p
+    }
+
+    #[test]
+    fn relabelled_basis_follows_entities_that_changed_seats() {
+        let rotated = seated_problem([1, 2, 0]);
+        let solve_rotated = |relabel: bool| {
+            let mut ctx = SolverContext::new();
+            ctx.solve(&seated_problem([0, 1, 2])).unwrap();
+            if relabel {
+                ctx.relabel_cached_basis(&[1, 2, 0], &[0, 2, 3, 1]);
+            }
+            let warm = ctx.solve(&rotated).unwrap();
+            assert!(warm.stats().warm_start);
+            assert_close(warm.objective_value(), 3.0 * 2.0 + 2.0 * 3.0 + 5.0);
+            warm.stats().iterations
+        };
+        assert_eq!(
+            solve_rotated(true),
+            0,
+            "the optimal basis moved with the data"
+        );
+        assert!(
+            solve_rotated(false) > 0,
+            "read by position it has to be repaired"
+        );
+
+        // A labelling that does not fit the cached shape drops the cache.
+        let mut ctx = SolverContext::new();
+        ctx.solve(&rotated).unwrap();
+        ctx.relabel_cached_basis(&[0, 1], &[0, 1, 2]);
+        let cold = ctx.solve(&rotated).unwrap();
+        assert!(!cold.stats().warm_start);
+        assert_close(cold.objective_value(), 17.0);
     }
 
     #[test]

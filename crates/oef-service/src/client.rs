@@ -214,10 +214,11 @@ impl ServiceClient {
             .as_ref()
             .and_then(Tracer::sample_context)
             .map(WireTraceContext::from_context);
-        let line = serde_json::to_string(&request)
+        let mut line = serde_json::to_string(&request)
             .map_err(|e| ClientError::Protocol(format!("request serialization failed: {e}")))?;
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()?;
+        // One write of line + terminator on the unbuffered socket.
+        line.push('\n');
+        self.writer.write_all(line.as_bytes())?;
 
         let mut reply_line = String::new();
         let read = self.reader.read_line(&mut reply_line)?;

@@ -526,6 +526,19 @@ impl Serialize for Request {
         }
         serde::Value::Object(fields)
     }
+
+    fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
+        out.push_str("{\"id\":");
+        self.id.write_json(out)?;
+        out.push_str(",\"command\":");
+        self.command.write_json(out)?;
+        if let Some(trace) = &self.trace {
+            out.push_str(",\"trace\":");
+            trace.write_json(out)?;
+        }
+        out.push('}');
+        Ok(())
+    }
 }
 
 impl Deserialize for Request {
@@ -582,6 +595,19 @@ impl Serialize for Reply {
             fields.push(("trace_id".to_string(), trace_id.serialize()));
         }
         serde::Value::Object(fields)
+    }
+
+    fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
+        out.push_str("{\"id\":");
+        self.id.write_json(out)?;
+        out.push_str(",\"response\":");
+        self.response.write_json(out)?;
+        if let Some(trace_id) = &self.trace_id {
+            out.push_str(",\"trace_id\":");
+            trace_id.write_json(out)?;
+        }
+        out.push('}');
+        Ok(())
     }
 }
 

@@ -60,4 +60,4 @@ pub use service::{
     policy_from_name, CommandError, SchedulerService, ServiceConfig, ServiceError, ServiceLimits,
     TenantExtract,
 };
-pub use snapshot::{ServiceSnapshot, SNAPSHOT_VERSION};
+pub use snapshot::{ServiceSnapshot, ServiceSnapshotRef, SNAPSHOT_VERSION};

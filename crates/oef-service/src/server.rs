@@ -400,9 +400,15 @@ fn serve_connection(
             }
         };
         let write_started = Instant::now();
+        // One `write_all` of line + terminator: the socket is unbuffered, so
+        // a separate newline write would be a second syscall (and, with
+        // Nagle off, a second segment) per reply.
         let written = serde_json::to_string(&reply)
             .map_err(std::io::Error::other)
-            .and_then(|line| writeln!(writer, "{line}").and_then(|()| writer.flush()));
+            .and_then(|mut line| {
+                line.push('\n');
+                writer.write_all(line.as_bytes())
+            });
         let write_ns = write_started.elapsed().as_nanos() as u64;
         oef_trace::profile::record("reply_write", write_ns);
         if let (Some(tracer), Some(pending)) = (tracer, pending) {

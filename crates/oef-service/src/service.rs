@@ -13,7 +13,7 @@ use crate::command::{
 };
 use crate::metrics::ServiceMetrics;
 use crate::server::CommandHandler;
-use crate::snapshot::{ServiceSnapshot, SNAPSHOT_VERSION};
+use crate::snapshot::{ServiceSnapshot, ServiceSnapshotRef, SNAPSHOT_VERSION};
 use oef_attrib::AttributionRegistry;
 use oef_cluster::{ClusterState, ClusterTopology, GpuType, HostHandle, Job, JobId, Tenant};
 use oef_core::{BoxedPolicy, SpeedupVector, TenantIndexMap};
@@ -272,11 +272,23 @@ impl SchedulerService {
     /// parsed), unknown policies, or identity maps that disagree with the
     /// cluster state.
     pub fn from_snapshot_json(snapshot: &str) -> Result<Self, ServiceError> {
-        // Gate on the version *before* parsing the full layout: older
-        // versions have differently shaped fields, and "missing field" parse
-        // errors would mask the real problem.
         let value: serde::Value =
             serde_json::from_str(snapshot).map_err(|e| ServiceError::BadSnapshot(e.to_string()))?;
+        Self::from_snapshot_value(&value)
+    }
+
+    /// Rebuilds a service from an already parsed snapshot document — what
+    /// [`Self::from_snapshot_json`] does after parsing, and how a federated
+    /// envelope restores its shard entries without rendering each back to
+    /// text first.
+    ///
+    /// # Errors
+    ///
+    /// See [`Self::from_snapshot_json`].
+    pub fn from_snapshot_value(value: &serde::Value) -> Result<Self, ServiceError> {
+        // Gate on the version *before* reading the full layout: older
+        // versions have differently shaped fields, and "missing field" parse
+        // errors would mask the real problem.
         match value.get("version").and_then(serde::Value::as_u64) {
             Some(v) if v == u64::from(SNAPSHOT_VERSION) => {}
             Some(v) => {
@@ -292,7 +304,7 @@ impl SchedulerService {
                 ));
             }
         }
-        let snapshot = ServiceSnapshot::deserialize(&value)
+        let snapshot = ServiceSnapshot::deserialize(value)
             .map_err(|e| ServiceError::BadSnapshot(e.to_string()))?;
         Self::from_snapshot(snapshot)
     }
@@ -1124,26 +1136,28 @@ impl SchedulerService {
     ///
     /// Serialization failures, as a message.
     pub fn snapshot_json(&self) -> Result<String, String> {
-        match self.snapshot() {
-            Ok(Response::Snapshot { snapshot }) => Ok(snapshot),
-            Ok(other) => Err(format!("snapshot returned {other:?}")),
-            Err((_, message)) => Err(message),
+        serde_json::to_string(&self.snapshot_ref()).map_err(|e| format!("snapshot failed: {e}"))
+    }
+
+    /// The v2 snapshot of this service as a view borrowing its live state:
+    /// serializing it writes the snapshot document without cloning anything.
+    pub fn snapshot_ref(&self) -> ServiceSnapshotRef<'_> {
+        ServiceSnapshotRef {
+            version: SNAPSHOT_VERSION,
+            config: &self.config,
+            now_secs: self.engine.now(),
+            round: self.engine.rounds_run(),
+            state: self.engine.state(),
+            rounding: self.engine.rounding(),
+            tenant_handles: &self.tenants,
         }
     }
 
     fn snapshot(&self) -> CommandResult {
-        let snapshot = ServiceSnapshot {
-            version: SNAPSHOT_VERSION,
-            config: self.config.clone(),
-            now_secs: self.engine.now(),
-            round: self.engine.rounds_run(),
-            state: self.engine.state().clone(),
-            rounding: self.engine.rounding().clone(),
-            tenant_handles: self.tenants.clone(),
-        };
-        let json = serde_json::to_string(&snapshot)
-            .map_err(|e| (ErrorCode::Internal, format!("snapshot failed: {e}")))?;
-        Ok(Response::Snapshot { snapshot: json })
+        let snapshot = self
+            .snapshot_json()
+            .map_err(|message| (ErrorCode::Internal, message))?;
+        Ok(Response::Snapshot { snapshot })
     }
 
     fn restore(&mut self, snapshot: &str) -> CommandResult {

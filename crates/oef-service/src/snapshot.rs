@@ -48,6 +48,28 @@ pub struct ServiceSnapshot {
     pub tenant_handles: TenantIndexMap,
 }
 
+/// The encode-side twin of [`ServiceSnapshot`]: the same fields under the
+/// same names in the same order — so the same bytes — borrowed from a running
+/// service.  Taking a snapshot therefore clones no state, and a federation
+/// can write each shard straight into its envelope's buffer.
+#[derive(Debug, Clone, Copy, Serialize)]
+pub struct ServiceSnapshotRef<'a> {
+    /// See [`ServiceSnapshot::version`].
+    pub version: u32,
+    /// See [`ServiceSnapshot::config`].
+    pub config: &'a ServiceConfig,
+    /// See [`ServiceSnapshot::now_secs`].
+    pub now_secs: f64,
+    /// See [`ServiceSnapshot::round`].
+    pub round: usize,
+    /// See [`ServiceSnapshot::state`].
+    pub state: &'a ClusterState,
+    /// See [`ServiceSnapshot::rounding`].
+    pub rounding: &'a RoundingPlacer,
+    /// See [`ServiceSnapshot::tenant_handles`].
+    pub tenant_handles: &'a TenantIndexMap,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,5 +101,17 @@ mod tests {
         let json = serde_json::to_string(&snapshot).unwrap();
         let back: ServiceSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snapshot);
+
+        // The borrowed view is the same document, byte for byte.
+        let view = ServiceSnapshotRef {
+            version: snapshot.version,
+            config: &snapshot.config,
+            now_secs: snapshot.now_secs,
+            round: snapshot.round,
+            state: &snapshot.state,
+            rounding: &snapshot.rounding,
+            tenant_handles: &snapshot.tenant_handles,
+        };
+        assert_eq!(serde_json::to_string(&view).unwrap(), json);
     }
 }

@@ -33,7 +33,8 @@
 
 use crate::placement::{ShardLoad, ShardPlacement};
 use crate::snapshot::{
-    FederatedSnapshot, ForwardingEntry, PlacementState, FEDERATED_SNAPSHOT_VERSION,
+    FederatedSnapshotHeader, FederatedSnapshotRef, ForwardingEntry, PlacementState,
+    FEDERATED_SNAPSHOT_VERSION,
 };
 use oef_attrib::AttributionRegistry;
 use oef_cluster::ClusterTopology;
@@ -269,17 +270,23 @@ impl ShardCoordinator {
                 ));
             }
         }
-        let envelope = FederatedSnapshot::deserialize(&value)
+        let envelope = FederatedSnapshotHeader::deserialize(&value)
             .map_err(|e| ServiceError::BadSnapshot(e.to_string()))?;
-        if envelope.shards.is_empty() {
+        let entries = value
+            .get("shards")
+            .and_then(serde::Value::as_array)
+            .ok_or_else(|| {
+                ServiceError::BadSnapshot("snapshot has no `shards` array".to_string())
+            })?;
+        if entries.is_empty() {
             return Err(ServiceError::BadSnapshot(
                 "federated snapshot holds no shards".to_string(),
             ));
         }
-        if envelope.shards.len() > sharded::MAX_SHARDS {
+        if entries.len() > sharded::MAX_SHARDS {
             return Err(ServiceError::BadSnapshot(format!(
                 "federated snapshot holds {} shards, above the limit of {}",
-                envelope.shards.len(),
+                entries.len(),
                 sharded::MAX_SHARDS
             )));
         }
@@ -291,15 +298,13 @@ impl ShardCoordinator {
                 ))
             })?;
         placement.restore_cursor(envelope.placement.cursor);
-        // Each shard entry goes through the complete unsharded restore path,
-        // so every v2 validation (identity maps, topology invariants) applies
-        // per shard.
-        let mut shards: Vec<oef_service::SchedulerService> =
-            Vec::with_capacity(envelope.shards.len());
-        for (i, entry) in envelope.shards.iter().enumerate() {
-            let json = serde_json::to_string(entry)
-                .map_err(|e| ServiceError::BadSnapshot(format!("shard {i}: {e}")))?;
-            let shard = oef_service::SchedulerService::from_snapshot_json(&json)
+        // Each shard entry goes through the complete unsharded restore path
+        // — read in place from the parsed envelope, not rendered back to text
+        // and parsed again — so the v2 version gate and every v2 validation
+        // (identity maps, topology invariants) apply per shard.
+        let mut shards: Vec<oef_service::SchedulerService> = Vec::with_capacity(entries.len());
+        for (i, entry) in entries.iter().enumerate() {
+            let shard = oef_service::SchedulerService::from_snapshot_value(entry)
                 .map_err(|e| ServiceError::BadSnapshot(format!("shard {i}: {e}")))?;
             // Every shard runs the same policy and limits — the invariant the
             // coordinator's config template stands for.  A coordinator always
@@ -1013,15 +1018,6 @@ impl ShardCoordinator {
     ///
     /// Serialization failures, as a message.
     pub fn snapshot_json(&self) -> Result<String, String> {
-        let mut shards = Vec::with_capacity(self.shards.len());
-        for (i, service) in self.shards.iter().enumerate() {
-            let json = service
-                .snapshot_json()
-                .map_err(|e| format!("shard {i} snapshot failed: {e}"))?;
-            let value = serde_json::from_str::<serde::Value>(&json)
-                .map_err(|e| format!("shard {i} snapshot did not re-parse: {e}"))?;
-            shards.push(value);
-        }
         // Canonical encoding: the table is a hash map in memory, a sorted
         // array on disk, so identical federations write identical envelopes.
         let mut forwarding: Vec<ForwardingEntry> = self
@@ -1030,7 +1026,7 @@ impl ShardCoordinator {
             .map(|(&from, &to)| ForwardingEntry { from, to })
             .collect();
         forwarding.sort_by_key(|entry| entry.from);
-        let envelope = FederatedSnapshot {
+        let envelope = FederatedSnapshotRef {
             version: FEDERATED_SNAPSHOT_VERSION,
             round: self.rounds,
             journal_seq: self.journal_seq,
@@ -1039,8 +1035,14 @@ impl ShardCoordinator {
                 cursor: self.placement.cursor(),
             },
             forwarding,
-            rebalancer: self.rebalancer.config().clone(),
-            shards,
+            rebalancer: self.rebalancer.config(),
+            // Borrowed views: each shard's state is written straight into
+            // the envelope's buffer.
+            shards: self
+                .shards
+                .iter()
+                .map(oef_service::SchedulerService::snapshot_ref)
+                .collect(),
         };
         serde_json::to_string(&envelope).map_err(|e| format!("federated snapshot failed: {e}"))
     }

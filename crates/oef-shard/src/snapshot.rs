@@ -74,6 +74,33 @@ pub struct FederatedSnapshot {
     pub shards: Vec<serde::Value>,
 }
 
+/// The encode-side twin of [`FederatedSnapshot`]: the same fields under the
+/// same names in the same order, with every shard entry a view borrowing
+/// that shard's live state — so a coordinator writes the whole envelope into
+/// one buffer without cloning, or re-parsing, any shard.
+#[derive(Debug, Serialize)]
+pub(crate) struct FederatedSnapshotRef<'a> {
+    pub version: u32,
+    pub round: usize,
+    pub journal_seq: u64,
+    pub placement: PlacementState,
+    pub forwarding: Vec<ForwardingEntry>,
+    pub rebalancer: &'a RebalancerConfig,
+    pub shards: Vec<oef_service::ServiceSnapshotRef<'a>>,
+}
+
+/// The decode-side counterpart: a v5 envelope minus its `shards`, which a
+/// restoring coordinator reads in place from the parsed document rather than
+/// copying out of it.
+#[derive(Debug, Deserialize)]
+pub(crate) struct FederatedSnapshotHeader {
+    pub round: usize,
+    pub journal_seq: u64,
+    pub placement: PlacementState,
+    pub forwarding: Vec<ForwardingEntry>,
+    pub rebalancer: RebalancerConfig,
+}
+
 /// Errors wrapping or upgrading snapshots into a v5 envelope.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MigrateError {
@@ -104,11 +131,11 @@ impl std::error::Error for MigrateError {}
 /// Fails when the input does not parse, carries the wrong version, or fails
 /// any of the v2 restore validations.
 pub fn wrap_v2_snapshot(v2_json: &str) -> Result<FederatedSnapshot, MigrateError> {
-    // Full validation: identity maps, topology invariants, policy name.
-    oef_service::SchedulerService::from_snapshot_json(v2_json)
-        .map_err(|e| MigrateError::BadSnapshot(e.to_string()))?;
     let value: serde::Value =
         serde_json::from_str(v2_json).map_err(|e| MigrateError::BadSnapshot(e.to_string()))?;
+    // Full validation: identity maps, topology invariants, policy name.
+    oef_service::SchedulerService::from_snapshot_value(&value)
+        .map_err(|e| MigrateError::BadSnapshot(e.to_string()))?;
     let round = value
         .get("round")
         .and_then(serde::Value::as_u64)
@@ -174,9 +201,7 @@ pub fn upgrade_v3_snapshot(v3_json: &str) -> Result<FederatedSnapshot, MigrateEr
         ));
     }
     for (i, entry) in shards.iter().enumerate() {
-        let json = serde_json::to_string(entry)
-            .map_err(|e| MigrateError::BadSnapshot(format!("shard {i}: {e}")))?;
-        oef_service::SchedulerService::from_snapshot_json(&json)
+        oef_service::SchedulerService::from_snapshot_value(entry)
             .map_err(|e| MigrateError::BadSnapshot(format!("shard {i}: {e}")))?;
     }
     Ok(FederatedSnapshot {
@@ -249,9 +274,7 @@ pub fn upgrade_v4_snapshot(v4_json: &str) -> Result<FederatedSnapshot, MigrateEr
         ));
     }
     for (i, entry) in shards.iter().enumerate() {
-        let json = serde_json::to_string(entry)
-            .map_err(|e| MigrateError::BadSnapshot(format!("shard {i}: {e}")))?;
-        oef_service::SchedulerService::from_snapshot_json(&json)
+        oef_service::SchedulerService::from_snapshot_value(entry)
             .map_err(|e| MigrateError::BadSnapshot(format!("shard {i}: {e}")))?;
     }
     Ok(FederatedSnapshot {

@@ -4,12 +4,24 @@
 //! serde the workspace compiles against this small, dependency-free stand-in.
 //! It keeps the *call-site* API identical — `use serde::{Serialize,
 //! Deserialize}`, `#[derive(Serialize, Deserialize)]`, `T: Serialize` bounds —
-//! but the data model is a single self-describing [`Value`] tree instead of
-//! serde's visitor architecture.  `serde_json` (also shimmed) renders and
-//! parses that tree.  Swapping in the real serde later only requires changing
-//! the `[workspace.dependencies]` path entries.
+//! but replaces serde's visitor architecture with two data paths:
+//!
+//! * **Encode** is direct: [`Serialize::write_json`] appends a value's compact
+//!   JSON to a `String`, and the derive, the primitive / container impls and
+//!   `serde_json::to_string` never build a tree.
+//! * **Decode** goes through the self-describing [`Value`] tree:
+//!   `serde_json::from_str` parses text into one and [`Deserialize`] reads a
+//!   type out of it.  The tree is also what `json!`, `to_value` and version
+//!   sniffing (`value.get("version")`) work on, and [`Serialize::serialize`]
+//!   still builds one; `write_json` defaults to rendering it, so a
+//!   hand-written impl that only defines `serialize` stays correct.
+//!
+//! Both encoders share the scalar writers below, so
+//! `x.write_json(out)` and `x.serialize().write_json(out)` produce the same
+//! bytes.  Swapping in the real serde later only requires changing the
+//! `[workspace.dependencies]` path entries.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -106,17 +118,10 @@ impl Value {
     pub fn write_json(&self, out: &mut String) -> Result<(), Error> {
         match self {
             Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(i) => out.push_str(&i.to_string()),
-            Value::UInt(u) => out.push_str(&u.to_string()),
-            Value::Float(f) => {
-                if !f.is_finite() {
-                    return Err(Error::custom("cannot serialize non-finite float to JSON"));
-                }
-                // `{:?}` prints the shortest representation that round-trips,
-                // and always includes a decimal point or exponent.
-                out.push_str(&format!("{f:?}"));
-            }
+            Value::Bool(b) => write_json_bool(*b, out),
+            Value::Int(i) => write_json_display(i, out),
+            Value::UInt(u) => write_json_display(u, out),
+            Value::Float(f) => write_json_f64(*f, out)?,
             Value::Str(s) => write_json_string(s, out),
             Value::Array(items) => {
                 out.push('[');
@@ -145,20 +150,69 @@ impl Value {
     }
 }
 
+/// Appends `s` as a JSON string literal.  Runs that need no escaping are
+/// copied whole; only `"`, `\\` and control characters break a run.
 fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run_start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        // `b` is ASCII, so `i` is a character boundary.
+        out.push_str(&s[run_start..i]);
+        run_start = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => write!(out, "\\u{b:04x}").expect("writing to a String cannot fail"),
         }
     }
+    out.push_str(&s[run_start..]);
     out.push('"');
+}
+
+fn write_json_bool(b: bool, out: &mut String) {
+    out.push_str(if b { "true" } else { "false" });
+}
+
+/// Appends an integer's decimal digits, formatted in place.
+fn write_json_display(n: impl fmt::Display, out: &mut String) {
+    write!(out, "{n}").expect("writing to a String cannot fail");
+}
+
+/// Appends a float.
+///
+/// # Errors
+///
+/// Fails on non-finite floats, which JSON cannot represent.
+fn write_json_f64(f: f64, out: &mut String) -> Result<(), Error> {
+    if !f.is_finite() {
+        return Err(Error::custom("cannot serialize non-finite float to JSON"));
+    }
+    // `{:?}` prints the shortest representation that round-trips, and always
+    // includes a decimal point or exponent.
+    write!(out, "{f:?}").expect("writing to a String cannot fail");
+    Ok(())
+}
+
+/// Appends `[a,b,…]`, each element through its direct writer.
+fn write_json_seq<'a, T: Serialize + 'a>(
+    items: impl IntoIterator<Item = &'a T>,
+    out: &mut String,
+) -> Result<(), Error> {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write_json(out)?;
+    }
+    out.push(']');
+    Ok(())
 }
 
 impl fmt::Display for Value {
@@ -203,16 +257,37 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Types that can render themselves into a [`Value`] tree.
+/// Types that can render themselves as JSON: directly into a buffer
+/// ([`Serialize::write_json`], what `serde_json::to_string` uses) or as a
+/// [`Value`] tree ([`Serialize::serialize`], what `json!` / `to_value` use).
 pub trait Serialize {
     /// Converts `self` into a [`Value`].
     fn serialize(&self) -> Value;
+
+    /// Appends `self` as compact JSON to `out`, byte for byte what
+    /// `self.serialize().write_json(out)` appends.  The default does exactly
+    /// that; the derive and the impls in this crate write without the tree.
+    ///
+    /// # Errors
+    ///
+    /// Fails on non-finite floats, which JSON cannot represent; `out` then
+    /// holds a partial document.
+    fn write_json(&self, out: &mut String) -> Result<(), Error> {
+        self.serialize().write_json(out)
+    }
 }
 
 /// Types that can be rebuilt from a [`Value`] tree.
 pub trait Deserialize: Sized {
     /// Rebuilds `Self` from a [`Value`].
     fn deserialize(value: &Value) -> Result<Self, Error>;
+
+    /// Rebuilds `Self` from a tree the caller is done with — what
+    /// `serde_json::from_str` does with the document it just parsed.  Only
+    /// [`Value`] itself gains from owning it (it is returned, not cloned).
+    fn from_value(value: Value) -> Result<Self, Error> {
+        Self::deserialize(&value)
+    }
 }
 
 /// Helper used by the derive macro: fetches a required object field.
@@ -228,17 +303,27 @@ impl Serialize for Value {
     fn serialize(&self) -> Value {
         self.clone()
     }
+    fn write_json(&self, out: &mut String) -> Result<(), Error> {
+        Value::write_json(self, out)
+    }
 }
 
 impl Deserialize for Value {
     fn deserialize(value: &Value) -> Result<Self, Error> {
         Ok(value.clone())
     }
+    fn from_value(value: Value) -> Result<Self, Error> {
+        Ok(value)
+    }
 }
 
 impl Serialize for () {
     fn serialize(&self) -> Value {
         Value::Null
+    }
+    fn write_json(&self, out: &mut String) -> Result<(), Error> {
+        out.push_str("null");
+        Ok(())
     }
 }
 
@@ -254,6 +339,10 @@ impl Deserialize for () {
 impl Serialize for bool {
     fn serialize(&self) -> Value {
         Value::Bool(*self)
+    }
+    fn write_json(&self, out: &mut String) -> Result<(), Error> {
+        write_json_bool(*self, out);
+        Ok(())
     }
 }
 
@@ -271,6 +360,10 @@ macro_rules! impl_unsigned {
         impl Serialize for $t {
             fn serialize(&self) -> Value {
                 Value::UInt(*self as u64)
+            }
+            fn write_json(&self, out: &mut String) -> Result<(), Error> {
+                write_json_display(self, out);
+                Ok(())
             }
         }
         impl Deserialize for $t {
@@ -291,6 +384,10 @@ macro_rules! impl_signed {
                 let v = *self as i64;
                 if v >= 0 { Value::UInt(v as u64) } else { Value::Int(v) }
             }
+            fn write_json(&self, out: &mut String) -> Result<(), Error> {
+                write_json_display(self, out);
+                Ok(())
+            }
         }
         impl Deserialize for $t {
             fn deserialize(value: &Value) -> Result<Self, Error> {
@@ -307,6 +404,9 @@ impl Serialize for f64 {
     fn serialize(&self) -> Value {
         Value::Float(*self)
     }
+    fn write_json(&self, out: &mut String) -> Result<(), Error> {
+        write_json_f64(*self, out)
+    }
 }
 
 impl Deserialize for f64 {
@@ -321,6 +421,9 @@ impl Serialize for f32 {
     fn serialize(&self) -> Value {
         Value::Float(f64::from(*self))
     }
+    fn write_json(&self, out: &mut String) -> Result<(), Error> {
+        write_json_f64(f64::from(*self), out)
+    }
 }
 
 impl Deserialize for f32 {
@@ -334,6 +437,10 @@ impl Deserialize for f32 {
 impl Serialize for String {
     fn serialize(&self) -> Value {
         Value::Str(self.clone())
+    }
+    fn write_json(&self, out: &mut String) -> Result<(), Error> {
+        write_json_string(self, out);
+        Ok(())
     }
 }
 
@@ -350,17 +457,27 @@ impl Serialize for str {
     fn serialize(&self) -> Value {
         Value::Str(self.to_string())
     }
+    fn write_json(&self, out: &mut String) -> Result<(), Error> {
+        write_json_string(self, out);
+        Ok(())
+    }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn serialize(&self) -> Value {
         (**self).serialize()
     }
+    fn write_json(&self, out: &mut String) -> Result<(), Error> {
+        (**self).write_json(out)
+    }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn serialize(&self) -> Value {
         Value::Array(self.iter().map(Serialize::serialize).collect())
+    }
+    fn write_json(&self, out: &mut String) -> Result<(), Error> {
+        write_json_seq(self, out)
     }
 }
 
@@ -379,11 +496,17 @@ impl<T: Serialize> Serialize for [T] {
     fn serialize(&self) -> Value {
         Value::Array(self.iter().map(Serialize::serialize).collect())
     }
+    fn write_json(&self, out: &mut String) -> Result<(), Error> {
+        write_json_seq(self, out)
+    }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn serialize(&self) -> Value {
         Value::Array(self.iter().map(Serialize::serialize).collect())
+    }
+    fn write_json(&self, out: &mut String) -> Result<(), Error> {
+        write_json_seq(self, out)
     }
 }
 
@@ -392,6 +515,15 @@ impl<T: Serialize> Serialize for Option<T> {
         match self {
             Some(v) => v.serialize(),
             None => Value::Null,
+        }
+    }
+    fn write_json(&self, out: &mut String) -> Result<(), Error> {
+        match self {
+            Some(v) => v.write_json(out),
+            None => {
+                out.push_str("null");
+                Ok(())
+            }
         }
     }
 }
@@ -410,6 +542,17 @@ macro_rules! impl_tuple {
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
             fn serialize(&self) -> Value {
                 Value::Array(vec![$(self.$idx.serialize()),+])
+            }
+            fn write_json(&self, out: &mut String) -> Result<(), Error> {
+                out.push('[');
+                $(
+                    if $idx > 0 {
+                        out.push(',');
+                    }
+                    self.$idx.write_json(out)?;
+                )+
+                out.push(']');
+                Ok(())
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {

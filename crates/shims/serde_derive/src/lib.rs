@@ -2,10 +2,16 @@
 //!
 //! Supports exactly the shapes this workspace serializes: structs with named
 //! fields, newtype (single-field tuple) structs, and enums whose variants are
-//! fieldless, tuple or struct-like.  The input is parsed directly from the
-//! token stream (no `syn`), which is enough because the supported grammar is
-//! tiny; unsupported shapes fail the build with an explicit message rather
-//! than silently mis-serializing.
+//! fieldless, tuple or struct-like.  Types may take lifetime parameters (a
+//! borrowed view that only serializes); type and const parameters are not
+//! supported.  The input is parsed directly from the token stream (no `syn`),
+//! which is enough because the supported grammar is tiny; unsupported shapes
+//! fail the build with an explicit message rather than silently
+//! mis-serializing.
+//!
+//! `Serialize` generates both encoders — the `Value`-tree `serialize` and
+//! the direct `write_json` — from the same field list, so they cannot
+//! disagree on names or order.
 //!
 //! Enum representation follows serde's external tagging: unit variants
 //! serialize as the variant-name string, data variants as a single-key object
@@ -45,7 +51,14 @@ enum VariantKind {
     Struct(Vec<String>),
 }
 
-fn parse_shape(input: TokenStream) -> Shape {
+/// A parsed type: its shape plus its lifetime parameter list (`<'a>`, or
+/// empty), repeated verbatim after `impl` and after the type name.
+struct Input {
+    generics: String,
+    shape: Shape,
+}
+
+fn parse_input(input: TokenStream) -> Input {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut i = 0;
 
@@ -74,43 +87,59 @@ fn parse_shape(input: TokenStream) -> Shape {
         other => panic!("serde shim derive: expected type name, found `{other}`"),
     };
     i += 1;
-    if matches!(&tokens[i], TokenTree::Punct(p) if p.as_char() == '<') {
-        panic!("serde shim derive: generic types are not supported (type `{name}`)");
-    }
-
-    let body = match tokens.get(i) {
-        Some(TokenTree::Group(g)) => g,
-        Some(TokenTree::Punct(p)) if p.as_char() == ';' && kind == "struct" => {
-            return Shape::Unit { name };
+    let mut generics = String::new();
+    if matches!(tokens.get(i), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
+        // Lifetimes only: `'a` lexes as a `'` punct joined to an identifier.
+        loop {
+            match &tokens[i] {
+                TokenTree::Punct(p) if matches!(p.as_char(), '<' | '\'' | ',') => {
+                    generics.push(p.as_char());
+                }
+                TokenTree::Punct(p) if p.as_char() == '>' => {
+                    generics.push('>');
+                    i += 1;
+                    break;
+                }
+                TokenTree::Ident(id) if generics.ends_with('\'') => {
+                    generics.push_str(&id.to_string());
+                }
+                _ => panic!(
+                    "serde shim derive: only lifetime parameters are supported (type `{name}`)"
+                ),
+            }
+            i += 1;
         }
-        None if kind == "struct" => return Shape::Unit { name },
+    }
+    let shape = match tokens.get(i) {
+        Some(TokenTree::Punct(p)) if p.as_char() == ';' && kind == "struct" => Shape::Unit { name },
+        None if kind == "struct" => Shape::Unit { name },
+        Some(TokenTree::Group(body)) => match (kind.as_str(), body.delimiter()) {
+            ("struct", Delimiter::Brace) => Shape::Named {
+                fields: parse_named_fields(body.stream(), &name),
+                name,
+            },
+            ("struct", Delimiter::Parenthesis) => {
+                let arity = tuple_arity(body.stream());
+                if arity != 1 {
+                    panic!(
+                        "serde shim derive: tuple struct `{name}` has {arity} fields; \
+                         only single-field newtypes are supported"
+                    );
+                }
+                Shape::Newtype { name }
+            }
+            ("enum", Delimiter::Brace) => Shape::Enum {
+                variants: parse_variants(body.stream(), &name),
+                name,
+            },
+            _ => panic!("serde shim derive: unsupported shape for `{name}`"),
+        },
         other => panic!(
             "serde shim derive: expected type body for `{name}`, found `{:?}`",
             other.map(ToString::to_string)
         ),
     };
-
-    match (kind.as_str(), body.delimiter()) {
-        ("struct", Delimiter::Brace) => Shape::Named {
-            fields: parse_named_fields(body.stream(), &name),
-            name,
-        },
-        ("struct", Delimiter::Parenthesis) => {
-            let arity = tuple_arity(body.stream());
-            if arity != 1 {
-                panic!(
-                    "serde shim derive: tuple struct `{name}` has {arity} fields; \
-                     only single-field newtypes are supported"
-                );
-            }
-            Shape::Newtype { name }
-        }
-        ("enum", Delimiter::Brace) => Shape::Enum {
-            variants: parse_variants(body.stream(), &name),
-            name,
-        },
-        _ => panic!("serde shim derive: unsupported shape for `{name}`"),
-    }
+    Input { generics, shape }
 }
 
 /// Collects field names from a named-struct body, skipping attributes,
@@ -249,10 +278,33 @@ fn parse_variants(stream: TokenStream, type_name: &str) -> Vec<VariantDef> {
     variants
 }
 
+/// Statements appending `{"a":…,"b":…}` to `__out`, one direct
+/// `write_json` call per field.  `access` maps a field name to the
+/// expression holding it (`self.a` in a struct, the binding `a` in a variant
+/// arm).  Field names are identifiers, so they need no JSON escaping.
+fn write_object_stmts(fields: &[String], access: impl Fn(&str) -> String) -> String {
+    if fields.is_empty() {
+        return "__out.push_str(\"{}\");\n".to_string();
+    }
+    let mut stmts = String::new();
+    for (i, field) in fields.iter().enumerate() {
+        let lead = if i == 0 { '{' } else { ',' };
+        stmts.push_str(&format!(
+            "__out.push_str(\"{lead}\\\"{field}\\\":\");\n\
+             ::serde::Serialize::write_json({expr}, __out)?;\n",
+            expr = access(field),
+        ));
+    }
+    stmts.push_str("__out.push('}');\n");
+    stmts
+}
+
 /// Derives `serde::Serialize` (shim) for supported shapes.
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let body = match parse_shape(input) {
+    let Input { generics, shape } = parse_input(input);
+    // (type name, body of `serialize`, body of `write_json`)
+    let (name, tree, direct) = match shape {
         Shape::Named { name, fields } => {
             let mut pushes = String::new();
             for field in &fields {
@@ -261,51 +313,57 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                      ::serde::Serialize::serialize(&self.{field})));\n"
                 ));
             }
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn serialize(&self) -> ::serde::Value {{\n\
-                         let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = \
-                             ::std::vec::Vec::with_capacity({len});\n\
-                         {pushes}\
-                         ::serde::Value::Object(__fields)\n\
-                     }}\n\
-                 }}",
+            let tree = format!(
+                "let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = \
+                     ::std::vec::Vec::with_capacity({len});\n\
+                 {pushes}\
+                 ::serde::Value::Object(__fields)\n",
                 len = fields.len(),
-            )
+            );
+            let direct = write_object_stmts(&fields, |f| format!("&self.{f}"));
+            (name, tree, direct)
         }
-        Shape::Newtype { name } => format!(
-            "impl ::serde::Serialize for {name} {{\n\
-                 fn serialize(&self) -> ::serde::Value {{\n\
-                     ::serde::Serialize::serialize(&self.0)\n\
-                 }}\n\
-             }}"
+        Shape::Newtype { name } => (
+            name,
+            "::serde::Serialize::serialize(&self.0)\n".to_string(),
+            "::serde::Serialize::write_json(&self.0, __out)?;\n".to_string(),
         ),
-        Shape::Unit { name } => format!(
-            "impl ::serde::Serialize for {name} {{\n\
-                 fn serialize(&self) -> ::serde::Value {{\n\
-                     ::serde::Value::Null\n\
-                 }}\n\
-             }}"
+        Shape::Unit { name } => (
+            name,
+            "::serde::Value::Null\n".to_string(),
+            "__out.push_str(\"null\");\n".to_string(),
         ),
         Shape::Enum { name, variants } => {
-            let arms: String = variants
+            let tree_arms: String = variants
                 .iter()
                 .map(|v| serialize_variant_arm(&name, v))
                 .collect();
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn serialize(&self) -> ::serde::Value {{\n\
-                         match self {{\n{arms}}}\n\
-                     }}\n\
-                 }}"
+            let direct_arms: String = variants
+                .iter()
+                .map(|v| write_variant_arm(&name, v))
+                .collect();
+            (
+                name,
+                format!("match self {{\n{tree_arms}}}\n"),
+                format!("match self {{\n{direct_arms}}}\n"),
             )
         }
     };
+    let body = format!(
+        "impl{generics} ::serde::Serialize for {name}{generics} {{\n\
+             fn serialize(&self) -> ::serde::Value {{\n{tree}}}\n\
+             fn write_json(&self, __out: &mut ::std::string::String) -> \
+                 ::std::result::Result<(), ::serde::Error> {{\n\
+                 {direct}\
+                 ::std::result::Result::Ok(())\n\
+             }}\n\
+         }}"
+    );
     body.parse()
         .expect("serde shim derive: generated Serialize impl must parse")
 }
 
-/// One `match self` arm of the generated `Serialize` impl for an enum.
+/// One `match self` arm of the generated `serialize` for an enum.
 fn serialize_variant_arm(name: &str, variant: &VariantDef) -> String {
     let v = &variant.name;
     let tag = format!("::std::string::String::from(\"{v}\")");
@@ -350,10 +408,53 @@ fn serialize_variant_arm(name: &str, variant: &VariantDef) -> String {
     }
 }
 
+/// One `match self` arm of the generated `write_json` for an enum: the same
+/// external tagging as [`serialize_variant_arm`], appended to `__out`.
+fn write_variant_arm(name: &str, variant: &VariantDef) -> String {
+    let v = &variant.name;
+    match &variant.kind {
+        VariantKind::Unit => {
+            format!("{name}::{v} => __out.push_str(\"\\\"{v}\\\"\"),\n")
+        }
+        VariantKind::Tuple(arity) => {
+            let bindings: Vec<String> = (0..*arity).map(|i| format!("__f{i}")).collect();
+            // A newtype variant's payload is the bare inner value; a wider
+            // tuple's is an array.
+            let (open, close) = if *arity == 1 { ("", "") } else { ("[", "]") };
+            let items: Vec<String> = bindings
+                .iter()
+                .map(|b| format!("::serde::Serialize::write_json({b}, __out)?;\n"))
+                .collect();
+            format!(
+                "{name}::{v}({binds}) => {{\n\
+                     __out.push_str(\"{{\\\"{v}\\\":{open}\");\n\
+                     {items}\
+                     __out.push_str(\"{close}}}\");\n\
+                 }}\n",
+                binds = bindings.join(", "),
+                items = items.join("__out.push(',');\n"),
+            )
+        }
+        VariantKind::Struct(fields) => format!(
+            "{name}::{v} {{ {binds} }} => {{\n\
+                 __out.push_str(\"{{\\\"{v}\\\":\");\n\
+                 {object}\
+                 __out.push('}}');\n\
+             }}\n",
+            binds = fields.join(", "),
+            object = write_object_stmts(fields, str::to_string),
+        ),
+    }
+}
+
 /// Derives `serde::Deserialize` (shim) for supported shapes.
 #[proc_macro_derive(Deserialize)]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let body = match parse_shape(input) {
+    let Input { generics, shape } = parse_input(input);
+    if !generics.is_empty() {
+        panic!("serde shim derive: Deserialize does not support lifetime parameters");
+    }
+    let body = match shape {
         Shape::Named { name, fields } => {
             let mut inits = String::new();
             for field in &fields {

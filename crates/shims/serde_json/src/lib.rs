@@ -1,6 +1,9 @@
 //! Offline shim for the subset of `serde_json` this workspace uses:
 //! [`to_string`], [`from_str`], the [`json!`] macro and a displayable
-//! [`Value`].  Backed by the `serde` shim's [`serde::Value`] tree.
+//! [`Value`].  [`to_string`] appends straight into one buffer through
+//! `serde::Serialize::write_json`; [`from_str`] parses into the `serde`
+//! shim's [`serde::Value`] tree in a single pass over the input and reads the
+//! target type out of it.
 
 pub use serde::Error;
 
@@ -23,7 +26,7 @@ pub fn to_value<T: serde::Serialize + ?Sized>(value: &T) -> Value {
 /// represent NaN or infinities).
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    value.serialize().write_json(&mut out)?;
+    value.write_json(&mut out)?;
     Ok(out)
 }
 
@@ -31,20 +34,22 @@ pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String> {
 ///
 /// # Errors
 ///
-/// Returns an error on malformed JSON or when the parsed tree does not match
-/// the target type's shape.
+/// Returns an error on malformed JSON, on arrays/objects nested deeper than
+/// 128 levels, or when the parsed tree does not match the target type's
+/// shape.
 pub fn from_str<T: serde::Deserialize>(input: &str) -> Result<T> {
     let mut parser = Parser {
-        bytes: input.as_bytes(),
+        input,
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.parse_value()?;
     parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
+    if parser.pos != input.len() {
         return Err(Error::custom("trailing characters after JSON value"));
     }
-    T::deserialize(&value)
+    T::from_value(value)
 }
 
 /// Builds a [`Value`] from an object / array / expression literal.
@@ -116,22 +121,33 @@ macro_rules! json {
     ($value:expr) => { $crate::to_value(&$value) };
 }
 
+/// Deepest array/object nesting [`from_str`] accepts (the real
+/// `serde_json`'s limit).  The parser is recursive descent and daemons feed
+/// it untrusted lines, so unbounded nesting would be a remote stack overflow.
+const MAX_DEPTH: usize = 128;
+
+/// Recursive-descent parser over a `&str`.  Every delimiter JSON cares about
+/// is ASCII, so scanning works on bytes while slices of `input` taken between
+/// delimiters are valid UTF-8 by construction — no byte is validated twice.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    input: &'a str,
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.input.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
-        {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, byte: u8) -> Result<()> {
@@ -152,8 +168,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             _ => Err(Error::custom(format!(
                 "unexpected character at byte {}",
@@ -162,8 +178,23 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Runs a container parser one nesting level down, refusing documents
+    /// deeper than [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::custom(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
+    }
+
     fn parse_keyword(&mut self, keyword: &str, value: Value) -> Result<Value> {
-        if self.bytes[self.pos..].starts_with(keyword.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(keyword.as_bytes()) {
             self.pos += keyword.len();
             Ok(value)
         } else {
@@ -190,8 +221,8 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::custom("invalid number encoding"))?;
+        // Only ASCII was consumed, so both ends are character boundaries.
+        let text = &self.input[start..self.pos];
         if !is_float {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Value::UInt(u));
@@ -209,70 +240,94 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let Some(c) = self.peek() else {
+            // Copy the run up to the next `"` or `\` in one piece.  Both are
+            // ASCII, so they never fall inside a multi-byte character and the
+            // run is a valid `str` slice.
+            let run_start = self.pos;
+            let Some(run_len) = self.bytes()[run_start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
                 return Err(Error::custom("unterminated string"));
             };
+            self.pos += run_len;
+            out.push_str(&self.input[run_start..self.pos]);
+            let delimiter = self.bytes()[self.pos];
             self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(Error::custom("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err(Error::custom("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| Error::custom("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| Error::custom("invalid \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed by this workspace's data.
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::custom("invalid \\u code point"))?,
-                            );
-                        }
-                        other => {
-                            return Err(Error::custom(format!(
-                                "invalid escape `\\{}`",
-                                other as char
-                            )))
-                        }
-                    }
-                }
-                _ => {
-                    // Re-decode UTF-8 starting at the byte we just consumed.
-                    let rest = &self.bytes[self.pos - 1..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| Error::custom("invalid UTF-8 in string"))?;
-                    let ch = s.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8() - 1;
+            if delimiter == b'"' {
+                return Ok(out);
+            }
+            let Some(esc) = self.peek() else {
+                return Err(Error::custom("unterminated escape"));
+            };
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => out.push(self.parse_unicode_escape()?),
+                other => {
+                    return Err(Error::custom(format!(
+                        "invalid escape `\\{}`",
+                        other as char
+                    )))
                 }
             }
         }
     }
 
+    /// Decodes what follows a `\u`: four hex digits, or — for characters
+    /// outside the Basic Multilingual Plane — a UTF-16 surrogate pair spelled
+    /// as two consecutive escapes (`😀`).  A surrogate without its
+    /// partner is not a character and is refused.
+    fn parse_unicode_escape(&mut self) -> Result<char> {
+        let first = self.parse_hex4()?;
+        let code = match first {
+            0xD800..=0xDBFF => {
+                if !self.bytes()[self.pos..].starts_with(b"\\u") {
+                    return Err(Error::custom("lone surrogate in \\u escape"));
+                }
+                self.pos += 2;
+                let second = self.parse_hex4()?;
+                if !(0xDC00..=0xDFFF).contains(&second) {
+                    return Err(Error::custom("lone surrogate in \\u escape"));
+                }
+                0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00)
+            }
+            0xDC00..=0xDFFF => return Err(Error::custom("lone surrogate in \\u escape")),
+            bmp => bmp,
+        };
+        char::from_u32(code).ok_or_else(|| Error::custom("invalid \\u code point"))
+    }
+
+    fn parse_hex4(&mut self) -> Result<u32> {
+        let Some(digits) = self.bytes().get(self.pos..self.pos + 4) else {
+            return Err(Error::custom("truncated \\u escape"));
+        };
+        let mut code = 0;
+        for &d in digits {
+            let digit = (d as char)
+                .to_digit(16)
+                .ok_or_else(|| Error::custom("invalid \\u escape"))?;
+            code = code * 16 + digit;
+        }
+        self.pos += 4;
+        Ok(code)
+    }
+
     fn parse_array(&mut self) -> Result<Value> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Value::Array(items));
+            return Ok(Value::Array(Vec::new()));
         }
+        let mut items = Vec::new();
         loop {
             self.skip_ws();
             items.push(self.parse_value()?);
@@ -290,12 +345,15 @@ impl<'a> Parser<'a> {
 
     fn parse_object(&mut self) -> Result<Value> {
         self.expect(b'{')?;
-        let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Object(fields));
+            return Ok(Value::Object(Vec::new()));
         }
+        // Wire structs here mostly carry 5–8 fields; starting at 8 skips the
+        // 4 → 8 regrowth `Vec` would do for them and ends at the same
+        // capacity.
+        let mut fields = Vec::with_capacity(8);
         loop {
             self.skip_ws();
             let key = self.parse_string()?;
