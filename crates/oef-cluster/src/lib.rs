@@ -29,7 +29,9 @@ pub use contention::ContentionModel;
 pub use gpu::{DeviceId, GpuDevice, GpuType, HostHandle};
 pub use host::{ClusterTopology, Host};
 pub use job::{Job, JobId, JobState};
-pub use placer::{DevicePlacer, JobPlacement, PlacementPlan, RoundingPlacer};
+pub use placer::{
+    distinct_hosts, DevicePlacer, JobPlacement, PlacementPlan, PlacerScratch, RoundingPlacer,
+};
 pub use profiler::Profiler;
 pub use state::ClusterState;
 pub use straggler::{StragglerModel, StragglerStats};

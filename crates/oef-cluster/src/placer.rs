@@ -13,13 +13,179 @@
 //! 2. [`DevicePlacer`] maps integer device counts to concrete devices on hosts,
 //!    giving placement priority to jobs with more workers and packing each job onto as
 //!    few hosts as possible to limit network contention.
+//!
+//! A round costs O(tenants + hosts + devices placed · log hosts) and, through
+//! [`PlacerScratch`], allocates nothing per tenant or per job.  Every device of a
+//! host is free at the start of a round, so a host is a *count* of free devices, and
+//! the hosts of each GPU type sit in a max-heap keyed `(free devices, dense host
+//! index)`: "the host with the most free devices, the last one among equals" is the
+//! heap's top, and taking from it is one pop and at most one push.  A tenant's
+//! runnable jobs are ordered by one sort on `(workers desc, starvation desc, id asc)`
+//! in a reused buffer, and the devices of the job being placed are handed to a
+//! visitor ([`DevicePlacer::place_each`]) from a reused buffer too —
+//! [`DevicePlacer::place`] is that visitor collecting a [`PlacementPlan`].
 
-use crate::gpu::{GpuDevice, GpuType, HostHandle};
+use crate::gpu::{DeviceId, GpuDevice, GpuType, HostHandle};
 use crate::host::ClusterTopology;
-use crate::job::JobId;
+use crate::job::{JobId, JobState};
 use crate::tenant::Tenant;
 use oef_core::Allocation;
 use serde::{Deserialize, Serialize};
+use std::collections::BinaryHeap;
+
+#[cfg(test)]
+mod reference;
+
+/// Working memory of one placement round, reused across rounds by a long-running
+/// caller (the simulation engine) so that neither rounding nor placement allocates
+/// once the buffers have grown to the cluster's size.
+///
+/// [`RoundingPlacer::round_shares_into`] leaves the round's whole-device grants in
+/// it; [`DevicePlacer::place_each`] reads them from it.
+#[derive(Debug, Clone, Default)]
+pub struct PlacerScratch {
+    /// Whole devices granted this round, row-major: `counts[l * k + j]`.
+    counts: Vec<usize>,
+    /// Row width of `counts`.
+    num_gpu_types: usize,
+    /// `(target, tenant)` of the entries of one GPU type that can round to ≥ 1.
+    rounding_order: Vec<(f64, usize)>,
+    /// Devices per GPU type the current tenant may still place.
+    budget: Vec<usize>,
+    /// The current tenant's runnable jobs in placement order.
+    job_order: Vec<JobKey>,
+    /// The cluster's free devices.
+    free: FreeDevices,
+}
+
+/// What a tenant's runnable jobs are ordered by, copied out of the job so the sort
+/// touches only this buffer.
+#[derive(Debug, Clone, Copy)]
+struct JobKey {
+    workers: usize,
+    starvation_time: f64,
+    id: JobId,
+    /// Position in the tenant's `jobs`.
+    position: usize,
+}
+
+impl PlacerScratch {
+    /// Number of tenants the grants of the last rounding cover.
+    pub fn num_tenants(&self) -> usize {
+        self.counts
+            .len()
+            .checked_div(self.num_gpu_types)
+            .unwrap_or(0)
+    }
+
+    /// Whole devices per GPU type granted to `tenant` by the last rounding (empty
+    /// for a tenant the grants do not cover).
+    pub fn counts(&self, tenant: usize) -> &[usize] {
+        counts_row(&self.counts, self.num_gpu_types, tenant)
+    }
+
+    /// Resets the grants to `num_tenants` all-zero rows of `num_gpu_types`.
+    fn reset_counts(&mut self, num_tenants: usize, num_gpu_types: usize) {
+        self.num_gpu_types = num_gpu_types;
+        self.counts.clear();
+        self.counts.resize(num_tenants * num_gpu_types, 0);
+    }
+
+    /// Loads explicit per-tenant rows as the grants, cut or zero-padded to
+    /// `num_gpu_types`.
+    fn load_counts(&mut self, rows: &[Vec<usize>], num_gpu_types: usize) {
+        self.reset_counts(rows.len(), num_gpu_types);
+        for (row, cells) in rows
+            .iter()
+            .zip(self.counts.chunks_mut(num_gpu_types.max(1)))
+        {
+            for (cell, count) in cells.iter_mut().zip(row) {
+                *cell = *count;
+            }
+        }
+    }
+}
+
+/// Row `tenant` of the row-major `counts` (`k` cells a row), empty when out of range.
+fn counts_row(counts: &[usize], k: usize, tenant: usize) -> &[usize] {
+    counts.get(tenant * k..(tenant + 1) * k).unwrap_or(&[])
+}
+
+/// The free devices of the cluster during one placement round.
+///
+/// Every device is free when the round starts, and devices of one host are
+/// interchangeable, so a host is just a count; the hosts of each GPU type that
+/// still have free devices sit in a max-heap keyed `(free devices, dense host
+/// index)`.
+#[derive(Debug, Clone, Default)]
+struct FreeDevices {
+    by_type: Vec<BinaryHeap<(usize, usize)>>,
+    /// `(dense host index, devices taken)` of the last [`Self::take`], in case it
+    /// came up short and has to be undone.
+    taken: Vec<(usize, usize)>,
+    /// Devices picked for the job being placed.
+    picked: Vec<GpuDevice>,
+}
+
+impl FreeDevices {
+    /// Frees every device: each host with devices enters its GPU type's heap
+    /// with all of them.
+    fn reset(&mut self, topology: &ClusterTopology) {
+        let k = topology.num_gpu_types();
+        self.by_type.resize_with(k, BinaryHeap::new);
+        for heap in &mut self.by_type {
+            heap.clear();
+        }
+        // Highest index first: among hosts of equal size each push is then
+        // smaller than everything already in the heap and stays where it lands.
+        for (index, host) in topology.hosts().iter().enumerate().rev() {
+            if host.num_gpus > 0 && host.gpu_type.index() < k {
+                self.by_type[host.gpu_type.index()].push((host.num_gpus, index));
+            }
+        }
+    }
+
+    /// Picks up to `count` free devices of `gpu_type`, always from the host with
+    /// the most free devices of that type (best packing; among equals, the one with
+    /// the highest dense index).  Returns how many it got.
+    fn take(&mut self, topology: &ClusterTopology, gpu_type: usize, count: usize) -> usize {
+        self.taken.clear();
+        let heap = &mut self.by_type[gpu_type];
+        let mut got = 0;
+        while got < count {
+            let Some((free, index)) = heap.pop() else {
+                break;
+            };
+            let take_here = (count - got).min(free);
+            let host = &topology.hosts()[index];
+            // Highest free slot first.
+            self.picked
+                .extend((free - take_here..free).rev().map(|slot| GpuDevice {
+                    id: DeviceId {
+                        host: host.handle,
+                        slot,
+                    },
+                    gpu_type: host.gpu_type,
+                }));
+            self.taken.push((index, take_here));
+            if free > take_here {
+                heap.push((free - take_here, index));
+            }
+            got += take_here;
+        }
+        got
+    }
+
+    /// Undoes a [`Self::take`] that came up short.  Coming up short means it
+    /// emptied every host of the type, so each host it took from goes back into
+    /// the (empty) heap with exactly what was taken.
+    fn put_back(&mut self, gpu_type: usize) {
+        let heap = &mut self.by_type[gpu_type];
+        debug_assert!(heap.is_empty(), "a short take drains its GPU type");
+        heap.extend(self.taken.iter().map(|&(index, taken)| (taken, index)));
+        self.picked.clear();
+    }
+}
 
 /// Rounds fractional fair shares into integer per-round device counts while staying
 /// fair in the long run.
@@ -94,53 +260,67 @@ impl RoundingPlacer {
         capacities: &[usize],
         min_demand: &[usize],
     ) -> Vec<Vec<usize>> {
+        let mut scratch = PlacerScratch::default();
+        self.round_shares_into(ideal, capacities, min_demand, &mut scratch);
+        (0..scratch.num_tenants())
+            .map(|l| scratch.counts(l).to_vec())
+            .collect()
+    }
+
+    /// [`Self::round_shares`] for a caller that rounds every round: the grants land
+    /// in `scratch` (read them back with [`PlacerScratch::counts`], or hand the
+    /// scratch to [`DevicePlacer::place_each`]) and nothing is allocated once the
+    /// scratch has grown to `tenants × GPU types`.
+    pub fn round_shares_into(
+        &mut self,
+        ideal: &Allocation,
+        capacities: &[usize],
+        min_demand: &[usize],
+        scratch: &mut PlacerScratch,
+    ) {
         let n = ideal.num_users();
         let k = ideal.num_gpu_types();
         self.ensure_capacity(n, k);
+        scratch.reset_counts(n, k);
 
-        // Step 1: per-entry target = ideal + accumulated deviation, rounded to nearest.
-        let mut counts = vec![vec![0usize; k]; n];
+        // Step 1: per-entry target = ideal + accumulated deviation, rounded to
+        // nearest, granted largest target first (ties: lowest tenant index first) so
+        // that capacity is respected deterministically.  A target that rounds to
+        // zero is granted nothing wherever it stands, so only the others are sorted.
         for j in 0..k {
+            let order = &mut scratch.rounding_order;
+            order.clear();
+            for l in 0..n {
+                let target = (ideal.share(l, j) + self.deviation[l][j]).max(0.0);
+                if target.round() >= 1.0 {
+                    order.push((target, l));
+                }
+            }
+            order.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
             let mut granted = 0usize;
-            // Round every tenant's target, largest fractional remainder first so that
-            // capacity is respected deterministically.
-            let mut order: Vec<usize> = (0..n).collect();
-            let targets: Vec<f64> = (0..n)
-                .map(|l| (ideal.share(l, j) + self.deviation[l][j]).max(0.0))
-                .collect();
-            order.sort_by(|a, b| {
-                targets[*b]
-                    .partial_cmp(&targets[*a])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            for &l in &order {
-                let want = targets[l].round() as usize;
+            for &(target, l) in order.iter() {
+                let want = target.round() as usize;
                 let available = capacities[j].saturating_sub(granted);
                 let grant = want.min(available);
-                counts[l][j] = grant;
+                scratch.counts[l * k + j] = grant;
                 granted += grant;
             }
         }
 
-        // Step 2: min-demand cutoff — a tenant whose total grant cannot run even its
-        // smallest job gives the devices back and accumulates deviation instead.
         for l in 0..n {
-            let total: usize = counts[l].iter().sum();
+            let row = &mut scratch.counts[l * k..(l + 1) * k];
+            // Step 2: min-demand cutoff — a tenant whose total grant cannot run even
+            // its smallest job gives the devices back and accumulates deviation
+            // instead.
+            let total: usize = row.iter().sum();
             if min_demand[l] > 0 && total > 0 && total < min_demand[l] {
-                for j in 0..k {
-                    counts[l][j] = 0;
-                }
+                row.fill(0);
             }
-        }
-
-        // Step 3: update deviations with what was actually granted.
-        for l in 0..n {
+            // Step 3: update deviations with what was actually granted.
             for j in 0..k {
-                self.deviation[l][j] += ideal.share(l, j) - counts[l][j] as f64;
+                self.deviation[l][j] += ideal.share(l, j) - row[j] as f64;
             }
         }
-
-        counts
     }
 }
 
@@ -163,11 +343,25 @@ impl JobPlacement {
 
     /// Number of distinct hosts the job spans.
     pub fn num_hosts(&self) -> usize {
-        let mut hosts: Vec<HostHandle> = self.devices.iter().map(|d| d.id.host).collect();
-        hosts.sort_unstable();
-        hosts.dedup();
-        hosts.len()
+        distinct_hosts(&self.devices)
     }
+}
+
+/// Number of distinct hosts among `devices`, without building a host list: a
+/// device opens a new host when it differs from its predecessor's and from every
+/// host before that.  The placer emits each host's devices as one run, so the
+/// look-back runs once per host spanned, not once per device.
+pub fn distinct_hosts(devices: &[GpuDevice]) -> usize {
+    let host = |d: &GpuDevice| -> HostHandle { d.id.host };
+    (0..devices.len())
+        .filter(|&i| {
+            i == 0
+                || (host(&devices[i]) != host(&devices[i - 1])
+                    && devices[..i - 1]
+                        .iter()
+                        .all(|d| host(d) != host(&devices[i])))
+        })
+        .count()
 }
 
 /// Result of device placement for one round.
@@ -240,45 +434,55 @@ impl DevicePlacer {
         counts: &[Vec<usize>],
         tenants: &[Tenant],
     ) -> PlacementPlan {
-        let k = topology.num_gpu_types();
-        // Free devices per host, keyed by the host's *dense* index this round.
-        // Devices carry stable host handles; the topology's slot-map maps a
-        // handle back to its dense index in O(1), so the scratch tolerates any
-        // add/remove history (no renumbering, no gaps to size around).
-        let mut free: Vec<Vec<GpuDevice>> = topology
-            .hosts()
-            .iter()
-            .map(|host| host.devices().collect())
-            .collect();
-
+        let mut scratch = PlacerScratch::default();
+        scratch.load_counts(counts, topology.num_gpu_types());
         let mut plan = PlacementPlan::default();
+        self.place_each(
+            topology,
+            tenants,
+            &mut scratch,
+            |tenant, position, devices| {
+                plan.placements.push(JobPlacement {
+                    job: tenant.jobs[position].id,
+                    tenant: tenant.id,
+                    devices: devices.to_vec(),
+                });
+            },
+        );
+        plan
+    }
+
+    /// [`Self::place`] for a caller that places every round: the grants are the ones
+    /// [`RoundingPlacer::round_shares_into`] left in `scratch`, and each job that
+    /// receives devices is handed to `placed` as `(tenant, position of the job in
+    /// tenant.jobs, devices)` — in the order, and with the devices, `place` would
+    /// list it.  The device slice is only valid during the call.
+    pub fn place_each(
+        &self,
+        topology: &ClusterTopology,
+        tenants: &[Tenant],
+        scratch: &mut PlacerScratch,
+        mut placed: impl FnMut(&Tenant, usize, &[GpuDevice]),
+    ) {
+        let k = topology.num_gpu_types();
+        scratch.free.reset(topology);
 
         for tenant in tenants {
-            if tenant.id >= counts.len() {
-                continue;
-            }
             // Budget of devices per type for this tenant.
-            let mut budget: Vec<usize> = counts[tenant.id].clone();
-            budget.resize(k, 0);
-            let total_budget: usize = budget.iter().sum();
-            if total_budget == 0 {
+            scratch.budget.clear();
+            scratch.budget.extend_from_slice(counts_row(
+                &scratch.counts,
+                scratch.num_gpu_types,
+                tenant.id,
+            ));
+            scratch.budget.resize(k, 0);
+            let mut remaining_budget: usize = scratch.budget.iter().sum();
+            if remaining_budget == 0 {
                 continue;
             }
 
-            // Placement order: larger jobs first (if enabled), then most starved.
-            let mut jobs = tenant.runnable_jobs();
-            if self.prioritize_large_jobs {
-                jobs.sort_by(|a, b| {
-                    b.workers.cmp(&a.workers).then(
-                        b.starvation_time
-                            .partial_cmp(&a.starvation_time)
-                            .unwrap_or(std::cmp::Ordering::Equal),
-                    )
-                });
-            }
-
-            for job in jobs {
-                let remaining_budget: usize = budget.iter().sum();
+            self.order_runnable_jobs(tenant, &mut scratch.job_order);
+            for job in &scratch.job_order {
                 if remaining_budget == 0 {
                     break;
                 }
@@ -286,107 +490,86 @@ impl DevicePlacer {
                 if workers == 0 {
                     continue;
                 }
-                let devices = self.place_one_job(&mut free, &mut budget, workers, topology);
-                if !devices.is_empty() {
-                    plan.placements.push(JobPlacement {
-                        job: job.id,
-                        tenant: tenant.id,
-                        devices,
-                    });
+                self.place_one_job(&mut scratch.free, &mut scratch.budget, workers, topology);
+                if !scratch.free.picked.is_empty() {
+                    remaining_budget -= scratch.free.picked.len();
+                    placed(tenant, job.position, &scratch.free.picked);
                 }
             }
         }
-
-        plan
     }
 
-    /// Places a single job of `workers` workers, preferring a single type and a single
-    /// host.  Consumes from `budget` and `free`.
+    /// Fills `order` with the tenant's runnable jobs in placement order: larger jobs
+    /// first (if enabled), then most starved, then lowest id.
+    fn order_runnable_jobs(&self, tenant: &Tenant, order: &mut Vec<JobKey>) {
+        order.clear();
+        order.extend(
+            tenant
+                .jobs
+                .iter()
+                .enumerate()
+                .filter(|(_, job)| matches!(job.state, JobState::Runnable))
+                .map(|(position, job)| JobKey {
+                    workers: job.workers,
+                    starvation_time: job.starvation_time,
+                    id: job.id,
+                    position,
+                }),
+        );
+        let by_size = self.prioritize_large_jobs;
+        // `position` makes the key unique, so the unstable sort is deterministic.
+        order.sort_unstable_by(|a, b| {
+            let size = if by_size {
+                b.workers.cmp(&a.workers)
+            } else {
+                std::cmp::Ordering::Equal
+            };
+            size.then(
+                b.starvation_time
+                    .partial_cmp(&a.starvation_time)
+                    .unwrap_or(std::cmp::Ordering::Equal),
+            )
+            .then(a.id.cmp(&b.id))
+            .then(a.position.cmp(&b.position))
+        });
+    }
+
+    /// Picks the devices of a single job of `workers` workers into `free.picked`,
+    /// preferring a single type and a single host.  Consumes from `budget`.
     fn place_one_job(
         &self,
-        free: &mut [Vec<GpuDevice>],
+        free: &mut FreeDevices,
         budget: &mut [usize],
         workers: usize,
         topology: &ClusterTopology,
-    ) -> Vec<GpuDevice> {
-        let k = budget.len();
-
-        // Candidate GPU types ordered fastest-first so jobs land on the best GPUs the
+    ) {
+        free.picked.clear();
+        // Candidate GPU types run fastest-first so jobs land on the best GPUs the
         // tenant owns this round.
-        let mut type_order: Vec<usize> = (0..k).filter(|j| budget[*j] > 0).collect();
-        type_order.sort_by(|a, b| b.cmp(a));
+        let fastest_first = (0..budget.len()).rev();
 
         // First choice: a single type with enough budget, on as few hosts as possible.
         if self.avoid_cross_type {
-            for &j in &type_order {
+            for j in fastest_first.clone() {
                 if budget[j] >= workers {
-                    let picked = Self::take_from_type(free, topology, GpuType(j), workers);
-                    if picked.len() == workers {
+                    if free.take(topology, j, workers) == workers {
                         budget[j] -= workers;
-                        return picked;
+                        return;
                     }
-                    // Not enough physical devices of that type remain free; put any
+                    // Not enough physical devices of that type remain free; put the
                     // partially taken devices back and fall through.
-                    Self::put_back(free, topology, picked);
+                    free.put_back(j);
                 }
             }
         }
 
         // Fallback: take devices type by type (fastest first) until the worker count is
         // met — this is the cross-type case that triggers the straggler effect.
-        let mut picked = Vec::new();
-        for &j in &type_order {
-            if picked.len() >= workers {
-                break;
+        for j in fastest_first {
+            let need = (workers - free.picked.len()).min(budget[j]);
+            if need > 0 {
+                budget[j] -= free.take(topology, j, need);
             }
-            let need = (workers - picked.len()).min(budget[j]);
-            if need == 0 {
-                continue;
-            }
-            let got = Self::take_from_type(free, topology, GpuType(j), need);
-            budget[j] -= got.len();
-            picked.extend(got);
-        }
-        picked
-    }
-
-    /// Takes up to `count` free devices of `gpu_type`, preferring the host with the most
-    /// free devices of that type (best packing).
-    fn take_from_type(
-        free: &mut [Vec<GpuDevice>],
-        topology: &ClusterTopology,
-        gpu_type: GpuType,
-        count: usize,
-    ) -> Vec<GpuDevice> {
-        let mut taken = Vec::new();
-        while taken.len() < count {
-            // Host (by dense index) with the most remaining free devices of
-            // the wanted type.
-            let best_host = topology
-                .hosts()
-                .iter()
-                .enumerate()
-                .filter(|(_, h)| h.gpu_type == gpu_type)
-                .map(|(i, _)| (i, free[i].len()))
-                .filter(|(_, n)| *n > 0)
-                .max_by_key(|(_, n)| *n);
-            let Some((host_index, _)) = best_host else {
-                break;
-            };
-            let take_here = (count - taken.len()).min(free[host_index].len());
-            for _ in 0..take_here {
-                taken.push(free[host_index].pop().expect("checked non-empty"));
-            }
-        }
-        taken
-    }
-
-    fn put_back(free: &mut [Vec<GpuDevice>], topology: &ClusterTopology, devices: Vec<GpuDevice>) {
-        for d in devices {
-            let index = topology
-                .host_index(d.id.host)
-                .expect("taken device's host is live");
-            free[index].push(d);
         }
     }
 }

@@ -66,6 +66,26 @@ impl Profiler {
         }
         true_speedup.inflate(&factors)
     }
+
+    /// [`Self::profile`] into an existing vector: an exact profiler copies into
+    /// `measured`'s buffer and allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::profile`].
+    pub fn profile_into(
+        &self,
+        true_speedup: &SpeedupVector,
+        job_key: u64,
+        measured: &mut SpeedupVector,
+    ) -> Result<()> {
+        if self.error_rate == 0.0 {
+            measured.clone_from(true_speedup);
+        } else {
+            *measured = self.profile(true_speedup, job_key)?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -67,15 +67,13 @@ impl StragglerModel {
         if assigned_types.is_empty() {
             return (0.0, 0);
         }
-        let speeds: Vec<f64> = assigned_types
-            .iter()
-            .map(|t| speedup.speedup(t.index()))
-            .collect();
+        // Walked, not collected: this runs once per placed job per round.
+        let speeds = assigned_types.iter().map(|t| speedup.speedup(t.index()));
         if !self.synchronous {
-            return (speeds.iter().sum(), 0);
+            return (speeds.sum(), 0);
         }
-        let min_speed = speeds.iter().cloned().fold(f64::INFINITY, f64::min);
-        let affected = speeds.iter().filter(|s| **s > min_speed + 1e-12).count();
+        let min_speed = speeds.clone().fold(f64::INFINITY, f64::min);
+        let affected = speeds.filter(|s| *s > min_speed + 1e-12).count();
         (min_speed * assigned_types.len() as f64, affected)
     }
 

@@ -61,6 +61,12 @@ impl Allocation {
         }
     }
 
+    /// Consumes the allocation, returning its rows.  Lets round-based callers
+    /// move each tenant's shares into its record instead of copying them.
+    pub fn into_rows(self) -> Vec<Vec<f64>> {
+        self.rows
+    }
+
     /// Number of tenants.
     pub fn num_users(&self) -> usize {
         self.rows.len()

@@ -14,9 +14,23 @@ use serde::{Deserialize, Serialize};
 const NORMALISATION_TOL: f64 = 1e-9;
 
 /// A tenant's normalised training-throughput profile across GPU types (slowest first).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct SpeedupVector {
     values: Vec<f64>,
+}
+
+impl Clone for SpeedupVector {
+    fn clone(&self) -> Self {
+        Self {
+            values: self.values.clone(),
+        }
+    }
+
+    /// Reuses the receiver's buffer (the derive would not), so a caller that
+    /// re-reads every tenant's profile every round copies without allocating.
+    fn clone_from(&mut self, source: &Self) {
+        self.values.clone_from(&source.values);
+    }
 }
 
 impl SpeedupVector {

@@ -1064,22 +1064,26 @@ impl SchedulerService {
         // completed jobs leave the state (counted in the metrics registry),
         // which keeps per-round scans, snapshots and memory flat.  Scheduling
         // is unaffected — only runnable/unfinished jobs influence rounds.
-        let mut completed = 0u64;
-        for tenant in self.engine.state_mut().tenants_mut() {
-            let before = tenant.jobs.len();
-            tenant.jobs.retain(|j| !j.is_finished());
-            completed += (before - tenant.jobs.len()) as u64;
+        // The step counted the finished jobs it saw and made, so a round
+        // that finished none skips the pass over every resident job.
+        if self.engine.finished_jobs_resident() > 0 {
+            let mut completed = 0u64;
+            for tenant in self.engine.state_mut().tenants_mut() {
+                let before = tenant.jobs.len();
+                tenant.jobs.retain(|j| !j.is_finished());
+                completed += (before - tenant.jobs.len()) as u64;
+            }
+            self.metrics.record_jobs_completed(completed);
         }
-        self.metrics.record_jobs_completed(completed);
         let tenants = record
             .tenants
-            .iter()
+            .into_iter()
             .map(|t| TenantRoundSummary {
                 tenant: self.tenants.handle_at(t.tenant).unwrap_or(0),
                 estimated_throughput: t.estimated_throughput,
                 actual_throughput: t.actual_throughput,
                 devices_held: t.devices_held,
-                gpu_shares: t.gpu_shares.clone(),
+                gpu_shares: t.gpu_shares,
             })
             .collect();
         Ok(Response::RoundCompleted(RoundSummary {

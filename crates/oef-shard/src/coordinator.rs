@@ -126,8 +126,20 @@ pub struct ShardCoordinator {
     /// the same accumulator, so its totals are the federation aggregate.
     /// Survives `Restore` (it describes this process's solver work).
     attrib: Option<AttributionRegistry>,
+    /// Whether this process has more than one hardware thread to fan a tick
+    /// out over.  Asked once, at construction: the answer costs a
+    /// `sched_getaffinity` plus a cgroup-file parse and describes the
+    /// process, not the federation, so `Restore` keeps it.
+    multi_core: bool,
     started: Instant,
     shutting_down: bool,
+}
+
+/// Whether shard ticks can actually overlap on this machine.
+fn has_multiple_cores() -> bool {
+    std::thread::available_parallelism()
+        .map(|p| p.get() > 1)
+        .unwrap_or(false)
 }
 
 impl std::fmt::Debug for ShardCoordinator {
@@ -190,6 +202,7 @@ impl ShardCoordinator {
             metrics: ServiceMetrics::new(),
             obs: None,
             attrib: None,
+            multi_core: has_multiple_cores(),
             started: Instant::now(),
             shutting_down: false,
             rebalance_trail: Vec::new(),
@@ -227,6 +240,7 @@ impl ShardCoordinator {
             metrics: ServiceMetrics::new(),
             obs: None,
             attrib: None,
+            multi_core: has_multiple_cores(),
             started: Instant::now(),
             shutting_down: false,
             rebalance_trail: Vec::new(),
@@ -819,10 +833,7 @@ impl ShardCoordinator {
         // hardware thread the spawn/join cost is pure overhead on every
         // round, while the sharding win that remains — each shard's LP
         // staying small — needs no parallelism at all.
-        let parallel = self.shards.len() > 1
-            && std::thread::available_parallelism()
-                .map(|p| p.get() > 1)
-                .unwrap_or(false);
+        let parallel = self.shards.len() > 1 && self.multi_core;
         let responses: Vec<Response> = if parallel {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = self
@@ -1018,6 +1029,19 @@ impl ShardCoordinator {
     ///
     /// Serialization failures, as a message.
     pub fn snapshot_json(&self) -> Result<String, String> {
+        let mut out = String::new();
+        self.write_snapshot_json(&mut out)?;
+        Ok(out)
+    }
+
+    /// [`Self::snapshot_json`] into a caller's buffer (cleared first), so a
+    /// caller that snapshots periodically — the journal's checkpoints — can
+    /// reuse one allocation instead of growing a megabyte string each time.
+    ///
+    /// # Errors
+    ///
+    /// Serialization failures, as a message.
+    pub fn write_snapshot_json(&self, out: &mut String) -> Result<(), String> {
         // Canonical encoding: the table is a hash map in memory, a sorted
         // array on disk, so identical federations write identical envelopes.
         let mut forwarding: Vec<ForwardingEntry> = self
@@ -1044,7 +1068,9 @@ impl ShardCoordinator {
                 .map(oef_service::SchedulerService::snapshot_ref)
                 .collect(),
         };
-        serde_json::to_string(&envelope).map_err(|e| format!("federated snapshot failed: {e}"))
+        out.clear();
+        serde::Serialize::write_json(&envelope, out)
+            .map_err(|e| format!("federated snapshot failed: {e}"))
     }
 
     fn snapshot(&mut self) -> Response {

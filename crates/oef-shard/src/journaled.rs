@@ -150,6 +150,11 @@ pub struct Journaled {
     /// Commands replayed from the journal tail when this instance was
     /// recovered (0 for a freshly created journal).
     replayed_on_recovery: u64,
+    /// The last checkpoint's snapshot text, kept for its allocation: every
+    /// checkpoint writes the whole state, and growing a fresh string to a
+    /// megabyte each time left the allocator holding the intermediate
+    /// buffers (about one more snapshot's worth of peak RSS at 500 tenants).
+    snapshot_buf: String,
     obs: Option<JournalObs>,
 }
 
@@ -190,10 +195,11 @@ impl Journaled {
             since_compact: 0,
             faults: FaultInjector::none(),
             replayed_on_recovery: 0,
+            snapshot_buf: String::new(),
             obs: None,
         };
-        let snapshot = journaled.snapshot_json()?;
-        oef_journal::atomic_write(&journaled.snapshot_path, snapshot.as_bytes())?;
+        journaled.encode_snapshot()?;
+        oef_journal::atomic_write(&journaled.snapshot_path, journaled.snapshot_buf.as_bytes())?;
         Ok(journaled)
     }
 
@@ -274,6 +280,7 @@ impl Journaled {
                 since_compact: 0,
                 faults: FaultInjector::none(),
                 replayed_on_recovery: report.replayed as u64,
+                snapshot_buf: String::new(),
                 obs: None,
             },
             summary,
@@ -479,9 +486,9 @@ impl Journaled {
         // The snapshot claims to cover `journal_seq`; everything up to it
         // must be durable before the claim is.
         self.timed_sync()?;
-        let snapshot = self.snapshot_json()?;
+        self.encode_snapshot()?;
         let mut pending = PendingFile::begin(&self.snapshot_path)?;
-        pending.write_all(snapshot.as_bytes())?;
+        pending.write_all(self.snapshot_buf.as_bytes())?;
         if self.faults.should_crash(CrashPoint::MidSnapshotWrite) {
             // Dropping `pending` abandons the temp file: the previous
             // snapshot stays authoritative, the full tail replays.
@@ -497,11 +504,14 @@ impl Journaled {
         Ok(())
     }
 
-    fn snapshot_json(&mut self) -> io::Result<String> {
+    /// Encodes the coordinator's state into `self.snapshot_buf`.
+    fn encode_snapshot(&mut self) -> io::Result<()> {
         // The direct path, not `apply(Command::Snapshot)`: the shutdown
         // checkpoint runs after the coordinator started refusing commands,
         // and checkpoints must not inflate the command metrics either.
-        self.inner.snapshot_json().map_err(io::Error::other)
+        self.inner
+            .write_snapshot_json(&mut self.snapshot_buf)
+            .map_err(io::Error::other)
     }
 
     /// Mirrors the journal's plain integer counters into the exposition

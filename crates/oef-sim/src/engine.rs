@@ -7,11 +7,24 @@
 //! reproduces that loop, modelling the runtime effects that separate the "estimated"
 //! from the "actual" throughput in the paper's figures: rounding, host-level network
 //! contention and the cross-GPU-type straggler effect.
+//!
+//! Outside the policy's solve a round costs O(tenants + resident jobs + devices
+//! placed · log hosts) and allocates a handful of vectors, none of them per tenant
+//! or per job.  The engine walks the resident jobs twice, linearly and without
+//! hashing or sorting: once before the solve (arrivals, who is active, each tenant's
+//! smallest runnable job) and once after placement (starvation of the jobs that
+//! received nothing, read from one dense mark per job); the placer reads the
+//! runnable jobs of the tenants that hold devices once more, to order them.  It
+//! hands over each placed job as `(tenant, position in tenant.jobs, devices)`, so
+//! the engine reaches the job by index and prices the placement — type mix, hosts
+//! spanned — straight from the device slice.  Every buffer of the round lives in
+//! [`RoundScratch`] and is reused; the solved allocation's rows are moved, not
+//! copied, into the round's record.
 
 use crate::metrics::{JctStats, RoundRecord, SimulationReport, TenantRound};
 use oef_cluster::{
-    ClusterState, ContentionModel, DevicePlacer, Profiler, RoundingPlacer, StragglerModel,
-    StragglerStats,
+    distinct_hosts, ClusterState, ContentionModel, DevicePlacer, GpuType, JobState, PlacerScratch,
+    Profiler, RoundingPlacer, StragglerModel, StragglerStats,
 };
 use oef_core::{Allocation, AllocationPolicy, Result, SpeedupMatrix};
 use serde::{Deserialize, Serialize};
@@ -60,6 +73,8 @@ pub struct SimulationEngine {
     now: f64,
     round: usize,
     records: Vec<RoundRecord>,
+    /// Finished jobs the state still held when the last step ended.
+    finished_resident: usize,
     scratch: RoundScratch,
 }
 
@@ -68,23 +83,38 @@ pub struct SimulationEngine {
 /// inside each policy's `oef_lp::SolverContext`.)
 #[derive(Debug, Default)]
 struct RoundScratch {
+    /// Tenants scheduled this round (not departed, with unfinished jobs).
+    active: Vec<usize>,
+    /// Global tenant id -> position in `active`, [`NOT_ACTIVE`] for the rest.
+    active_index: Vec<usize>,
     /// Reported speedup rows handed to the fair-share evaluator.
     reported_rows: Vec<oef_core::SpeedupVector>,
     /// Active-tenant allocation scattered to global tenant indices.
     global_ideal: Option<Allocation>,
-    /// Per-global-tenant minimum device demand.
+    /// Per-global-tenant minimum device demand (0 for tenants not active).
     global_min_demand: Vec<usize>,
-    /// Global tenant id -> active index.
-    index_of: std::collections::HashMap<usize, usize>,
-    /// Jobs that received devices this round, keyed by `(tenant, job)` —
-    /// job ids are only unique *per tenant* once tenants can migrate in
-    /// from another shard with the ids they were minted there.
-    placed_jobs: std::collections::HashSet<(usize, oef_cluster::JobId)>,
+    /// Global tenant id -> index of its first job in `placed`.
+    job_base: Vec<usize>,
+    /// One mark per resident job, tenant by tenant in `jobs` order: the job
+    /// received devices this round.  Positions rather than ids — job ids are
+    /// only unique *per tenant* once tenants can migrate in from another shard
+    /// with the ids they were minted there.
+    placed: Vec<bool>,
+    /// `(tenant, position in tenant.jobs, work done)` per placement of an active
+    /// tenant, applied once the placer has let go of the tenants.
+    progress: Vec<(usize, usize, f64)>,
+    /// GPU types of the devices of the placement being priced.
+    placed_types: Vec<GpuType>,
+    /// Whole-device grants and the device placer's working memory.
+    placer: PlacerScratch,
     /// Per-active-tenant actual throughput.
     actual: Vec<f64>,
     /// Per-active-tenant devices held.
     devices_held: Vec<usize>,
 }
+
+/// [`RoundScratch::active_index`] of a tenant that is not scheduled this round.
+const NOT_ACTIVE: usize = usize::MAX;
 
 impl SimulationEngine {
     /// Creates an engine over an existing cluster state.
@@ -99,6 +129,7 @@ impl SimulationEngine {
             now: 0.0,
             round: 0,
             records: Vec::new(),
+            finished_resident: 0,
             scratch: RoundScratch::default(),
         }
     }
@@ -138,19 +169,21 @@ impl SimulationEngine {
     ///
     /// Propagates allocation failures from the policy.
     pub fn step<P: AllocationPolicy + ?Sized>(&mut self, policy: &P) -> Result<RoundRecord> {
-        self.state.process_arrivals(self.now);
-        let active = self.state.active_tenants();
+        self.scan_jobs();
+        let active = std::mem::take(&mut self.scratch.active);
 
         let record = if active.is_empty() {
-            RoundRecord {
+            Ok(RoundRecord {
                 round: self.round,
                 time_secs: self.now,
                 solver_time_secs: 0.0,
                 tenants: Vec::new(),
-            }
+            })
         } else {
-            self.schedule_active(policy, &active)?
+            self.schedule_active(policy, &active)
         };
+        self.scratch.active = active;
+        let record = record?;
 
         self.round += 1;
         self.now += self.config.round_secs;
@@ -266,9 +299,62 @@ impl SimulationEngine {
         }
     }
 
+    /// Number of finished jobs the state still held when the last
+    /// [`SimulationEngine::step`] ended (before any later command).  A caller
+    /// that prunes finished jobs after every step can skip its pass over the
+    /// jobs when this is zero.
+    pub fn finished_jobs_resident(&self) -> usize {
+        self.finished_resident
+    }
+
     /// Straggler counters accumulated so far.
     pub fn straggler_stats(&self) -> StragglerStats {
         self.straggler_stats
+    }
+
+    /// The one pass over the resident jobs that precedes the solve: pending jobs
+    /// whose arrival time has passed become runnable, and the scratch learns which
+    /// tenants are active, each one's smallest runnable job (the placer's
+    /// min-demand cutoff) and where each tenant's jobs start in the `placed` marks.
+    fn scan_jobs(&mut self) {
+        let now = self.now;
+        let scratch = &mut self.scratch;
+        scratch.active.clear();
+        scratch.active_index.clear();
+        scratch.global_min_demand.clear();
+        scratch.job_base.clear();
+        let mut jobs_seen = 0;
+        let mut finished = 0;
+        for (l, tenant) in self.state.tenants_mut().iter_mut().enumerate() {
+            debug_assert_eq!(tenant.id, l, "tenant ids are their dense indices");
+            scratch.job_base.push(jobs_seen);
+            jobs_seen += tenant.jobs.len();
+            let mut unfinished = false;
+            let mut min_workers = None;
+            for job in &mut tenant.jobs {
+                job.maybe_arrive(now);
+                match job.state {
+                    JobState::Runnable => {
+                        unfinished = true;
+                        min_workers =
+                            Some(min_workers.map_or(job.workers, |m: usize| m.min(job.workers)));
+                    }
+                    JobState::Pending => unfinished = true,
+                    JobState::Finished => finished += 1,
+                }
+            }
+            if !tenant.departed && unfinished {
+                scratch.active_index.push(scratch.active.len());
+                scratch.active.push(l);
+                scratch.global_min_demand.push(min_workers.unwrap_or(0));
+            } else {
+                scratch.active_index.push(NOT_ACTIVE);
+                scratch.global_min_demand.push(0);
+            }
+        }
+        scratch.placed.clear();
+        scratch.placed.resize(jobs_seen, false);
+        self.finished_resident = finished;
     }
 
     fn schedule_active<P: AllocationPolicy + ?Sized>(
@@ -279,24 +365,26 @@ impl SimulationEngine {
         let spec = self.state.cluster_spec();
 
         // 1. Reported speedups: honest tenants go through the profiling agent, cheaters
-        //    report their inflated vector directly.  The row buffer is reclaimed from
-        //    the previous round (see step 5).
+        //    report their inflated vector directly.  The rows are last round's
+        //    (reclaimed in step 5) and are overwritten in place.
         let mut reported_rows = std::mem::take(&mut self.scratch.reported_rows);
-        reported_rows.clear();
-        reported_rows.reserve(active.len());
-        for &l in active {
+        reported_rows.truncate(active.len());
+        for (i, &l) in active.iter().enumerate() {
             let tenant = self.state.tenant(l);
-            let reported = if tenant.is_cheating() {
-                tenant.reported_speedup.clone()
+            if i == reported_rows.len() {
+                reported_rows.push(tenant.true_speedup.clone());
+            }
+            if tenant.is_cheating() {
+                reported_rows[i].clone_from(&tenant.reported_speedup);
             } else {
-                self.config
-                    .profiler
-                    .profile(&tenant.true_speedup, l as u64)?
-            };
-            reported_rows.push(reported);
+                self.config.profiler.profile_into(
+                    &tenant.true_speedup,
+                    l as u64,
+                    &mut reported_rows[i],
+                )?;
+            }
         }
         let reported = SpeedupMatrix::new(reported_rows)?;
-        let truth = self.state.true_speedups(active)?;
 
         // 2. Fair-share evaluation (timed for the Fig. 10(a) overhead measurement).
         let solve_start = Instant::now();
@@ -305,14 +393,16 @@ impl SimulationEngine {
 
         // 3. Estimated throughput: the promise of the fair-share evaluator, valued with
         //    the tenants' true speedups.
-        let estimated: Vec<f64> = (0..active.len())
-            .map(|i| truth.user(i).dot(ideal.user_row(i)))
+        let estimated: Vec<f64> = active
+            .iter()
+            .enumerate()
+            .map(|(i, &l)| self.state.tenant(l).true_speedup.dot(ideal.user_row(i)))
             .collect();
 
         // 4. Placement and job progress.  Results land in the reusable
         //    scratch buffers instead of fresh per-round vectors.
         if self.config.physical_placement {
-            self.place_and_advance(active, &ideal, &truth);
+            self.place_and_advance(active, &ideal);
         } else {
             self.advance_fluid(active, &estimated);
             self.scratch.actual.clear();
@@ -323,15 +413,17 @@ impl SimulationEngine {
         let actual = &self.scratch.actual;
         let devices_held = &self.scratch.devices_held;
 
+        // The allocation's rows move into the record.
         let tenants = active
             .iter()
+            .zip(ideal.into_rows())
             .enumerate()
-            .map(|(i, &l)| TenantRound {
+            .map(|(i, (&l, gpu_shares))| TenantRound {
                 tenant: l,
                 estimated_throughput: estimated[i],
                 actual_throughput: actual[i],
                 devices_held: devices_held[i],
-                gpu_shares: ideal.user_row(i).to_vec(),
+                gpu_shares,
             })
             .collect();
 
@@ -361,6 +453,7 @@ impl SimulationEngine {
             for id in job_ids {
                 if let Some(job) = tenant.job_mut(id) {
                     job.advance(per_job, now);
+                    self.finished_resident += usize::from(job.is_finished());
                 }
             }
         }
@@ -370,20 +463,28 @@ impl SimulationEngine {
     /// contention and straggler penalties, and advance jobs by what they actually ran.
     /// Writes per-active-tenant results into `self.scratch.actual` and
     /// `self.scratch.devices_held`.
-    fn place_and_advance(&mut self, active: &[usize], ideal: &Allocation, truth: &SpeedupMatrix) {
+    fn place_and_advance(&mut self, active: &[usize], ideal: &Allocation) {
         let dt = self.config.round_secs;
         let now = self.now + dt;
-        let topology = self.state.topology().clone();
+        let Self {
+            state,
+            config,
+            rounding,
+            straggler_stats,
+            finished_resident,
+            scratch,
+            ..
+        } = self;
+        let topology = state.topology();
         let capacities: Vec<usize> = topology.capacities();
-        let min_demand = self.state.min_demands(active);
 
         // The rounding placer is indexed by *global* tenant id so deviations survive
         // tenants joining and leaving; scatter the active-tenant allocation into a
         // global-width matrix first.  The global-width buffers persist across rounds
         // and are only rebuilt when the tenant or GPU-type count changes.
-        let num_tenants = self.state.tenants().len();
+        let num_tenants = state.tenants().len();
         let k = topology.num_gpu_types();
-        let global_ideal = match &mut self.scratch.global_ideal {
+        let global_ideal = match &mut scratch.global_ideal {
             Some(existing)
                 if existing.num_users() == num_tenants && existing.num_gpu_types() == k =>
             {
@@ -399,74 +500,72 @@ impl SimulationEngine {
                 .user_row_mut(l)
                 .clone_from_slice(ideal.user_row(i));
         }
-        self.scratch.global_min_demand.clear();
-        self.scratch.global_min_demand.resize(num_tenants, 0);
-        for (i, &l) in active.iter().enumerate() {
-            self.scratch.global_min_demand[l] = min_demand[i];
-        }
-        self.rounding.ensure_capacity(num_tenants, k);
-        let counts =
-            self.rounding
-                .round_shares(global_ideal, &capacities, &self.scratch.global_min_demand);
+        rounding.round_shares_into(
+            global_ideal,
+            &capacities,
+            &scratch.global_min_demand,
+            &mut scratch.placer,
+        );
 
-        // Device placement for the tenants that received devices.
-        let plan = self
-            .config
-            .placer
-            .place(&topology, &counts, self.state.tenants());
+        // Device placement for the tenants that received devices: price each placed
+        // job and accumulate actual throughput per active tenant.
+        scratch.actual.clear();
+        scratch.actual.resize(active.len(), 0.0);
+        scratch.progress.clear();
+        let (actual, progress, types, active_index) = (
+            &mut scratch.actual,
+            &mut scratch.progress,
+            &mut scratch.placed_types,
+            &scratch.active_index,
+        );
+        config.placer.place_each(
+            topology,
+            state.tenants(),
+            &mut scratch.placer,
+            |tenant, position, devices| {
+                let i = active_index[tenant.id];
+                if i == NOT_ACTIVE {
+                    return;
+                }
+                types.clear();
+                types.extend(devices.iter().map(|d| d.gpu_type));
+                let (rate, affected) = config.straggler.effective_rate(&tenant.true_speedup, types);
+                let contention_factor = config
+                    .contention
+                    .factor(distinct_hosts(devices), devices.len());
+                let effective_rate = rate * contention_factor;
+                actual[i] += effective_rate;
+                if StragglerModel::is_cross_type(types) {
+                    straggler_stats.cross_type_placements += 1;
+                    straggler_stats.affected_workers += affected as u64;
+                }
+                progress.push((tenant.id, position, effective_rate * dt));
+            },
+        );
 
-        // Advance placed jobs and accumulate actual throughput per active tenant.
-        self.scratch.actual.clear();
-        self.scratch.actual.resize(active.len(), 0.0);
-        self.scratch.index_of.clear();
-        self.scratch
-            .index_of
-            .extend(active.iter().enumerate().map(|(i, &l)| (l, i)));
-        self.scratch.placed_jobs.clear();
-
-        for placement in &plan.placements {
-            let Some(&i) = self.scratch.index_of.get(&placement.tenant) else {
-                continue;
-            };
-            let types = placement.gpu_types();
-            let speedup = truth.user(i);
-            let (rate, affected) = self.config.straggler.effective_rate(speedup, &types);
-            let contention_factor = self
-                .config
-                .contention
-                .factor(placement.num_hosts(), placement.devices.len());
-            let effective_rate = rate * contention_factor;
-            self.scratch.actual[i] += effective_rate;
-            if StragglerModel::is_cross_type(&types) {
-                self.straggler_stats.cross_type_placements += 1;
-                self.straggler_stats.affected_workers += affected as u64;
-            }
-            self.scratch
-                .placed_jobs
-                .insert((placement.tenant, placement.job));
-            let tenant = self.state.tenant_mut(placement.tenant);
-            if let Some(job) = tenant.job_mut(placement.job) {
-                job.advance(effective_rate * dt, now);
-            }
+        // Advance the placed jobs.
+        for &(tenant, position, work) in &scratch.progress {
+            let job = &mut state.tenant_mut(tenant).jobs[position];
+            job.advance(work, now);
+            *finished_resident += usize::from(job.is_finished());
+            scratch.placed[scratch.job_base[tenant] + position] = true;
         }
 
         // Starvation accounting for runnable jobs that received nothing.
-        let placed_jobs = &self.scratch.placed_jobs;
-        for tenant in self.state.tenants_mut() {
-            let id = tenant.id;
-            for job in &mut tenant.jobs {
-                if matches!(job.state, oef_cluster::JobState::Runnable)
-                    && !placed_jobs.contains(&(id, job.id))
-                {
+        for (tenant, &base) in state.tenants_mut().iter_mut().zip(&scratch.job_base) {
+            for (job, &placed) in tenant.jobs.iter_mut().zip(&scratch.placed[base..]) {
+                if matches!(job.state, JobState::Runnable) && !placed {
                     job.starvation_time += dt;
                 }
             }
         }
 
-        self.scratch.devices_held.clear();
-        self.scratch
-            .devices_held
-            .extend(active.iter().map(|&l| counts[l].iter().sum::<usize>()));
+        scratch.devices_held.clear();
+        scratch.devices_held.extend(
+            active
+                .iter()
+                .map(|&l| scratch.placer.counts(l).iter().sum::<usize>()),
+        );
     }
 }
 
@@ -599,6 +698,38 @@ mod tests {
         let record = engine.run_round(&MaxMin::default()).unwrap();
         assert_eq!(record.tenants.len(), 2);
         assert!(record.tenant(2).is_none());
+    }
+
+    #[test]
+    fn job_scan_agrees_with_the_state_queries() {
+        // Tenant 0 runs jobs of 2 and 1 workers, 1 only has a job that arrives in
+        // round 2, 2 has finished everything, 3 has left with work outstanding.
+        let mut state = small_state(4, 2, 1e9);
+        state.tenant_mut(1).jobs.truncate(1);
+        let late = &mut state.tenant_mut(1).jobs[0];
+        (late.arrival_time, late.state) = (400.0, JobState::Pending);
+        for job in &mut state.tenant_mut(2).jobs {
+            job.advance(1e12, 0.0);
+        }
+        state.tenant_mut(3).departed = true;
+        let mut engine = SimulationEngine::new(state, SimulationConfig::default());
+
+        for expected_min_demand in [vec![1, 0], vec![1, 0], vec![1, 1]] {
+            engine.scan_jobs();
+            let active = engine.state.active_tenants();
+            assert_eq!(active, vec![0, 1]);
+            assert_eq!(engine.scratch.active, active);
+            assert_eq!(engine.state.min_demands(&active), expected_min_demand);
+            for (i, &l) in active.iter().enumerate() {
+                assert_eq!(engine.scratch.active_index[l], i);
+                assert_eq!(engine.scratch.global_min_demand[l], expected_min_demand[i]);
+            }
+            assert_eq!(engine.scratch.active_index[2..], [NOT_ACTIVE; 2]);
+            assert_eq!(engine.scratch.global_min_demand[2..], [0; 2]);
+            assert_eq!(engine.scratch.job_base, vec![0, 2, 3, 5]);
+            assert_eq!(engine.finished_jobs_resident(), 2);
+            engine.now += 300.0;
+        }
     }
 
     #[test]
