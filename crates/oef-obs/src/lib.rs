@@ -12,7 +12,7 @@
 //!   text format v0.0.4: `# HELP`/`# TYPE` lines, escaped label values,
 //!   histogram `_bucket`/`_sum`/`_count` triplets with a `+Inf` bucket.
 //! * A **strict exposition parser** ([`parse`]) — the in-repo `promtool`
-//!   stand-in that tests, `service_soak` and the CI smoke step run against
+//!   stand-in that tests, `oef_bench` and the CI smoke step run against
 //!   every scrape (rejects malformed lines, non-cumulative buckets, missing
 //!   `+Inf`, duplicate series, negative counters).
 //! * [`MetricsServer`] — a minimal hand-rolled HTTP/1.1 GET responder over

@@ -353,7 +353,7 @@ impl ServiceClient {
     ///
     /// # Errors
     ///
-    /// See [`ServiceClient::call`]; unsharded daemons reject the command.
+    /// See [`ServiceClient::call`]; a bare shard core rejects the command.
     pub fn migrate_tenant(&mut self, tenant: u64, shard: usize) -> ClientResult<u64> {
         match self.call(Command::MigrateTenant { tenant, shard })? {
             Response::TenantMigrated { tenant, .. } => Ok(tenant),
@@ -366,7 +366,7 @@ impl ServiceClient {
     ///
     /// # Errors
     ///
-    /// See [`ServiceClient::call`]; unsharded daemons reject the command.
+    /// See [`ServiceClient::call`]; a bare shard core rejects the command.
     pub fn rebalance(&mut self) -> ClientResult<RebalanceReport> {
         match self.call(Command::Rebalance)? {
             Response::Rebalanced(report) => Ok(report),

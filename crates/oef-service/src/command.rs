@@ -129,8 +129,8 @@ pub enum Command {
     /// Moves a tenant — its profile, unfinished jobs, quota usage and
     /// rounding-deviation state — onto another shard of a federation.  The
     /// reply carries the tenant's re-minted handle; the old handle keeps
-    /// working forever through the coordinator's forwarding table.  An
-    /// unsharded daemon rejects this with [`ErrorCode::InvalidArgument`].
+    /// working forever through the coordinator's forwarding table.  A bare
+    /// shard core rejects this with [`ErrorCode::InvalidArgument`].
     MigrateTenant {
         /// Tenant handle (any handle ever issued for the tenant).
         tenant: u64,
@@ -139,8 +139,8 @@ pub enum Command {
     },
     /// Runs one rebalancing pass: the coordinator scores per-shard load,
     /// plans migrations against its configured policy, executes them and
-    /// replies with the plan it executed ([`Response::Rebalanced`]).  An
-    /// unsharded daemon rejects this with [`ErrorCode::InvalidArgument`].
+    /// replies with the plan it executed ([`Response::Rebalanced`]).  A bare
+    /// shard core rejects this with [`ErrorCode::InvalidArgument`].
     Rebalance,
     /// Runs one scheduling round: re-solves the allocation (warm-started),
     /// places devices and advances jobs by one round.
@@ -280,12 +280,12 @@ pub struct MetricsReport {
     pub tenants: usize,
     /// Hosts currently in the topology.
     pub hosts: usize,
-    /// Tenants moved between shards since start (0 on an unsharded daemon).
+    /// Tenants moved between shards since start (0 from a bare shard core).
     pub tenants_migrated: u64,
     /// Seconds since the daemon started (parity with `Status`).
     pub uptime_secs: f64,
     /// Per-shard EWMA of recent solve latencies, seconds (parity with
-    /// `Status --shards`; empty on an unsharded daemon).
+    /// `Status --shards`; empty from a bare shard core).
     pub solve_ewma_secs: Vec<f64>,
     /// Journal records appended since start (0 when not journaled).
     pub journal_appends: u64,
@@ -385,12 +385,13 @@ pub struct StatusReport {
     pub hosts: usize,
     /// Total GPU devices in the topology.
     pub total_devices: usize,
-    /// Per-host handles and contents, in topology order (shard-tagged when
-    /// the daemon is sharded).
+    /// Per-host handles and contents, in topology order (shard-tagged by
+    /// the coordinator).
     pub topology: Vec<HostStatusEntry>,
-    /// Per-shard summaries; empty on an unsharded daemon.
+    /// Per-shard summaries, one per shard of the daemon (empty from a bare
+    /// shard core).
     pub shards: Vec<ShardStatusEntry>,
-    /// Entries in the coordinator's handle-forwarding table (0 unsharded):
+    /// Entries in the coordinator's handle-forwarding table:
     /// one per handle that was re-minted by a migration and not yet retired
     /// by its tenant leaving.
     pub forwarding_entries: usize,

@@ -107,9 +107,8 @@ impl ServiceMetrics {
     }
 
     /// Registers the front-door series (command throughput/rejections) in
-    /// `registry`.  Call once on whichever core owns the daemon's command
-    /// queue — the unsharded service or the federation coordinator, never
-    /// both.
+    /// `registry`.  Call once, on the core that owns the daemon's command
+    /// queue — the federation coordinator, never its shards.
     pub fn register_front(&self, registry: &Registry) {
         registry.register_counter(
             "oef_commands_processed_total",

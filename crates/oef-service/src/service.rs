@@ -154,17 +154,6 @@ pub type CommandError = (ErrorCode, String);
 /// in `oef-core`.
 const FAIRNESS_TOLERANCE: f64 = 1e-6;
 
-/// Front-door exposition cells describing the daemon process as a whole,
-/// owned by whichever core sits directly behind the command queue.
-struct FrontObs {
-    queue_depth: Gauge,
-    uptime: Gauge,
-    /// Mirrors of the process-global tracing loss counters: spans dropped
-    /// past a trace's cap, log lines dropped by the non-blocking writer.
-    trace_dropped: Counter,
-    log_dropped: Counter,
-}
-
 /// Per-shard exposition cells (`{shard="N"}`): solver-cache counters mirrored
 /// from the policy, population gauges, and the fairness-SLO series sampled
 /// from each solved round.
@@ -202,7 +191,6 @@ pub struct SchedulerService {
     /// headless instances — tests, benches, embedded cores — free of any
     /// sampling work).  Like `metrics` they describe this process, not the
     /// cluster state, and survive `Restore`.
-    front_obs: Option<FrontObs>,
     shard_obs: Option<ShardObs>,
     /// Per-tenant solve-cost accumulator, present once attached.  A shared
     /// handle (the federation hands every shard a clone of one registry);
@@ -211,7 +199,7 @@ pub struct SchedulerService {
     /// Shard index this core records attribution under: handles fed to the
     /// shared registry are wire-tagged (`sharded::encode`) so per-shard
     /// locals can never collide across a federation.  0 (the identity
-    /// encoding) for an unsharded daemon.
+    /// encoding) until attached.
     attrib_shard: usize,
     /// Process-lifetime clock for `Status.uptime_secs`; survives `Restore`
     /// (state age and process age are different things).
@@ -249,7 +237,6 @@ impl SchedulerService {
             config,
             tenants: TenantIndexMap::new(),
             metrics: ServiceMetrics::new(),
-            front_obs: None,
             shard_obs: None,
             attrib: None,
             attrib_shard: 0,
@@ -330,7 +317,6 @@ impl SchedulerService {
             config: snapshot.config,
             tenants: snapshot.tenant_handles,
             metrics: ServiceMetrics::new(),
-            front_obs: None,
             shard_obs: None,
             attrib: None,
             attrib_shard: 0,
@@ -433,40 +419,6 @@ impl SchedulerService {
     /// Scheduling rounds completed over the service's lifetime.
     pub fn rounds_run(&self) -> usize {
         self.engine.rounds_run()
-    }
-
-    /// Hooks this core's metric cells into `registry`: the front-door series
-    /// (command throughput/rejections, queue depth, uptime) plus its own
-    /// solve and fairness series as shard 0.
-    ///
-    /// This is the unsharded daemon's attach; a federation coordinator owns
-    /// the front door itself and attaches each shard via
-    /// [`Self::attach_shard_observability`].
-    pub fn attach_observability(&mut self, registry: &Registry) {
-        self.metrics.register_front(registry);
-        self.front_obs = Some(FrontObs {
-            queue_depth: registry.gauge(
-                "oef_queue_depth",
-                "Commands waiting in the daemon's bounded queue.",
-                &[],
-            ),
-            uptime: registry.gauge(
-                "oef_uptime_seconds",
-                "Seconds since the daemon process started.",
-                &[],
-            ),
-            trace_dropped: registry.counter(
-                "oef_trace_dropped_spans_total",
-                "Spans dropped because a trace hit its per-trace span cap.",
-                &[],
-            ),
-            log_dropped: registry.counter(
-                "oef_log_dropped_lines_total",
-                "Structured log lines dropped by the non-blocking writer.",
-                &[],
-            ),
-        });
-        self.attach_shard_observability(registry, 0);
     }
 
     /// Hooks this core into a shared per-tenant solve-cost registry.  In a
@@ -580,16 +532,10 @@ impl SchedulerService {
         self.shard_obs = Some(obs);
     }
 
-    /// Refreshes the cheap exposition gauges after a command: queue depth,
-    /// uptime, population, and the solver-cache counter mirrors.  A handful
-    /// of atomic stores — and nothing at all while unattached.
-    fn refresh_obs(&self, queue_depth: usize) {
-        if let Some(front) = &self.front_obs {
-            front.queue_depth.set(queue_depth as f64);
-            front.uptime.set(self.started.elapsed().as_secs_f64());
-            front.trace_dropped.set(oef_trace::spans_dropped());
-            front.log_dropped.set(oef_trace::log_lines_dropped());
-        }
+    /// Refreshes the cheap exposition gauges after a command: population
+    /// and the solver-cache counter mirrors.  A handful of atomic stores —
+    /// and nothing at all while unattached.
+    fn refresh_obs(&self) {
         if let Some(obs) = &self.shard_obs {
             obs.tenants.set(self.tenants.len() as f64);
             obs.hosts
@@ -711,7 +657,7 @@ impl SchedulerService {
     pub fn apply(&mut self, command: Command, queue_depth: usize) -> Response {
         let result = self.dispatch(command, queue_depth);
         self.metrics.record_command(result.is_ok());
-        self.refresh_obs(queue_depth);
+        self.refresh_obs();
         match result {
             Ok(response) => response,
             Err((code, message)) => Response::Error { code, message },
@@ -744,8 +690,8 @@ impl SchedulerService {
             Command::RemoveHost { handle } => self.remove_host(handle),
             Command::MigrateTenant { .. } | Command::Rebalance => Err((
                 ErrorCode::InvalidArgument,
-                "this daemon is not sharded; tenant migration needs a federation \
-                 (start with --shards N)"
+                "a shard core does not migrate tenants; the coordinator in front of it \
+                 executes MigrateTenant and Rebalance"
                     .to_string(),
             )),
             Command::Tick => self.tick(),
@@ -1176,7 +1122,6 @@ impl SchedulerService {
         // The metrics registry and uptime clock describe this process, not
         // the restored state: keep them running across the restore.
         let metrics = std::mem::take(&mut self.metrics);
-        let front_obs = self.front_obs.take();
         let shard_obs = self.shard_obs.take();
         let attrib = self.attrib.take();
         let attrib_shard = self.attrib_shard;
@@ -1188,7 +1133,6 @@ impl SchedulerService {
         let queue_capacity = self.config.limits.queue_capacity;
         *self = restored;
         self.metrics = metrics;
-        self.front_obs = front_obs;
         self.shard_obs = shard_obs;
         self.attrib = attrib;
         self.attrib_shard = attrib_shard;
@@ -1250,15 +1194,6 @@ impl CommandHandler for SchedulerService {
 
     fn queue_capacity(&self) -> usize {
         self.config.limits.queue_capacity
-    }
-
-    fn attach_observability(&mut self, registry: &Registry) {
-        SchedulerService::attach_observability(self, registry);
-    }
-
-    fn attach_attribution(&mut self, attrib: &AttributionRegistry) {
-        // An unsharded daemon is wire-identical to shard 0 of a federation.
-        SchedulerService::attach_attribution(self, attrib.clone(), 0);
     }
 }
 
@@ -1833,11 +1768,9 @@ mod tests {
             let r = svc.apply(command, 0);
             assert!(
                 matches!(
-                    r,
-                    Response::Error {
-                        code: ErrorCode::InvalidArgument,
-                        ..
-                    }
+                    &r,
+                    Response::Error { code: ErrorCode::InvalidArgument, message }
+                        if message.contains("a shard core does not migrate tenants")
                 ),
                 "{r:?}"
             );

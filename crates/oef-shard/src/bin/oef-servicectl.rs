@@ -20,14 +20,15 @@
 //! oef-servicectl smoke-shard <addr>       # scripted cross-shard session (CI, --shards daemon)
 //! oef-servicectl smoke-crash-prepare <addr> <file>  # build state, record it (CI crash test)
 //! oef-servicectl smoke-crash-verify  <addr> <file>  # check a recovered daemon against the record
-//! oef-servicectl migrate-snapshot <in> <out>  # wrap v2 / upgrade v3 or v4 into a v5 envelope
 //! ```
 //!
-//! `smoke` drives a short but complete session — two tenants join, submit
-//! jobs, three rounds run, allocations are sanity-checked, one tenant leaves,
-//! the daemon shuts down — and exits non-zero on any deviation.  CI uses it
-//! to prove a freshly built daemon serves the full protocol on a loopback
-//! port and terminates cleanly.  `smoke-shard` is its federation sibling: it
+//! `smoke` drives a short but complete session against a flagless daemon —
+//! the one-shard federation — two tenants join, submit jobs, three rounds
+//! run, allocations are sanity-checked, one tenant leaves, migration is
+//! refused by the coordinator itself (nowhere to move to), the daemon shuts
+//! down — and exits non-zero on any deviation.  CI uses it to prove a
+//! freshly built daemon serves the full protocol on a loopback port and
+//! terminates cleanly.  `smoke-shard` is its multi-shard sibling: it
 //! requires a daemon started with `--shards ≥ 2`, spreads tenants across
 //! shards, asserts that `Status` aggregates exactly the per-shard entries,
 //! migrates a tenant over the wire and re-verifies its old handle across a
@@ -54,16 +55,11 @@
 //! recorded `gpu_shares` and `estimated_throughput` to 1e-6, and every
 //! pre-crash handle and job id still resolving.
 //!
-//! `migrate-snapshot` is offline (no daemon involved): it validates a v2
-//! snapshot file and wraps it into a single-shard federated (v5) envelope —
-//! or, given a v3/v4 envelope from a PR-4/PR-5-era federation, upgrades it
-//! in place (journal epoch zero; v3 also gets an empty forwarding table and
-//! default rebalancer) — that `oef-serviced --restore` will serve as a
-//! coordinator.  Snapshot files are written atomically (temp file + fsync +
-//! rename), so a crash mid-write never leaves a torn snapshot behind.
+//! Snapshot files are written atomically (temp file + fsync + rename), so a
+//! crash mid-write never leaves a torn snapshot behind.
 //!
-//! Handles render as `shard:slot@generation` (e.g. `0:3@1`) — the unsharded
-//! daemon is shard 0.
+//! Handles render as `shard:slot@generation` (e.g. `0:3@1`) — a flagless
+//! daemon's only shard is shard 0.
 
 use oef_core::sharded;
 use oef_service::{ClientResult, ServiceClient};
@@ -111,7 +107,6 @@ fn main() {
         [cmd, addr] if cmd == "smoke-shard" => smoke_shard(addr),
         [cmd, addr, file] if cmd == "smoke-crash-prepare" => smoke_crash_prepare(addr, file),
         [cmd, addr, file] if cmd == "smoke-crash-verify" => smoke_crash_verify(addr, file),
-        [cmd, input, output] if cmd == "migrate-snapshot" => migrate_snapshot(input, output),
         _ => {
             eprintln!(
                 "usage: oef-servicectl <status|metrics|tick|rebalance|shutdown|smoke|smoke-shard> \
@@ -123,8 +118,7 @@ fn main() {
                  \x20      oef-servicectl migrate <addr> <tenant-handle> <shard>\n\
                  \x20      oef-servicectl snapshot <addr> <file>\n\
                  \x20      oef-servicectl smoke-crash-prepare <addr> <file>\n\
-                 \x20      oef-servicectl smoke-crash-verify <addr> <file>\n\
-                 \x20      oef-servicectl migrate-snapshot <v2-v3-or-v4-file> <v5-file>"
+                 \x20      oef-servicectl smoke-crash-verify <addr> <file>"
             );
             std::process::exit(2);
         }
@@ -172,10 +166,6 @@ fn status(addr: &str) -> ClientResult<()> {
 /// table's health.
 fn status_shards(addr: &str) -> ClientResult<()> {
     let report = ServiceClient::connect(addr)?.status()?;
-    if report.shards.is_empty() {
-        println!("daemon is unsharded (single scheduler, shard 0)");
-        return Ok(());
-    }
     println!(
         "{} shard(s), round {}, forwarding table: {} entr{} (depth {})",
         report.shards.len(),
@@ -725,45 +715,6 @@ fn snapshot(addr: &str, file: &str) -> ClientResult<()> {
     Ok(())
 }
 
-fn migrate_snapshot(input: &str, output: &str) -> ClientResult<()> {
-    let source = std::fs::read_to_string(input).map_err(oef_service::ClientError::Io)?;
-    // Dispatch on the input's version: v2 snapshots wrap into a single-shard
-    // envelope, v3 and v4 envelopes upgrade in place.  Anything else (v1
-    // included) flows through the v2 wrapper, whose validation produces the
-    // same structured refusals the daemon would.
-    let version = serde_json::from_str::<serde::Value>(&source)
-        .ok()
-        .and_then(|v| v.get("version").and_then(serde::Value::as_u64));
-    let (envelope, what) = match version {
-        Some(3) => (
-            oef_shard::upgrade_v3_snapshot(&source)
-                .map_err(|e| oef_service::ClientError::Protocol(e.to_string()))?,
-            "upgraded v3 envelope",
-        ),
-        Some(4) => (
-            oef_shard::upgrade_v4_snapshot(&source)
-                .map_err(|e| oef_service::ClientError::Protocol(e.to_string()))?,
-            "upgraded v4 envelope",
-        ),
-        _ => (
-            oef_shard::wrap_v2_snapshot(&source)
-                .map_err(|e| oef_service::ClientError::Protocol(e.to_string()))?,
-            "wrapped v2 snapshot",
-        ),
-    };
-    let json = serde_json::to_string(&envelope)
-        .map_err(|e| oef_service::ClientError::Protocol(e.to_string()))?;
-    oef_journal::atomic_write(std::path::Path::new(output), json.as_bytes())
-        .map_err(oef_service::ClientError::Io)?;
-    println!(
-        "{what} {input} (round {}, {} shard(s)) into v{} envelope {output}",
-        envelope.round,
-        envelope.shards.len(),
-        oef_shard::FEDERATED_SNAPSHOT_VERSION,
-    );
-    Ok(())
-}
-
 fn shutdown(addr: &str) -> ClientResult<()> {
     ServiceClient::connect(addr)?.shutdown()?;
     println!("daemon acknowledged shutdown");
@@ -786,6 +737,10 @@ fn smoke(addr: &str) -> ClientResult<()> {
 
     let before = client.status()?;
     check("daemon answers status", before.total_devices > 0)?;
+    check(
+        "a flagless daemon is a one-shard federation",
+        before.shards.len() == 1,
+    )?;
 
     let alice = client.join("smoke-alice", 1, &[1.0, 1.18, 1.39])?;
     let bob = client.join("smoke-bob", 1, &[1.0, 1.55, 2.15])?;
@@ -865,6 +820,25 @@ fn smoke(addr: &str) -> ClientResult<()> {
         "scheduling survives topology churn",
         round.tenants.len() == 1,
     )?;
+
+    // With one shard there is nowhere to migrate to, and it is the
+    // coordinator that says so: a self-move and a shard that does not exist.
+    for (shard, expected) in [(0, "already lives on shard 0"), (1, "does not exist")] {
+        match client.migrate_tenant(bob, shard) {
+            Err(oef_service::ClientError::Service {
+                code: oef_service::ErrorCode::InvalidArgument,
+                message,
+            }) if message.contains(expected) => {
+                println!("ok: migrate to shard {shard} refused by the coordinator ({expected})");
+            }
+            other => {
+                return Err(oef_service::ClientError::Protocol(format!(
+                    "smoke check failed: migrate to shard {shard} should be refused with \
+                     `{expected}`, got {other:?}"
+                )))
+            }
+        }
+    }
 
     let metrics = client.metrics()?;
     check("metrics count the rounds", metrics.rounds_solved >= 5)?;

@@ -3,7 +3,7 @@
 //! ```text
 //! oef-serviced [--addr HOST:PORT] [--metrics-addr HOST:PORT] [--policy NAME]
 //!              [--round-secs SECS] [--fluid] [--max-tenants N] [--shards N]
-//!              [--placement NAME] [--restore FILE]
+//!              [--placement NAME] [--restore FILE] [--trace-sample N]
 //!              [--journal-dir DIR] [--fsync-every N] [--compact-every N]
 //! ```
 //!
@@ -11,46 +11,47 @@
 //! `oef-serviced listening on <addr>` line to stdout, and serves until a
 //! `Shutdown` command arrives, then exits 0.
 //!
+//! The daemon has **one shape**: it always serves a [`ShardCoordinator`] —
+//! `--shards N` scheduler shards (default 1), one paper-cluster topology
+//! each, handles tagged with their shard index, ticks fanned out across the
+//! shards.  Shard 0 is the identity handle encoding and a one-shard
+//! coordinator ticks serially, so the flagless daemon answers exactly as a
+//! bare `SchedulerService` would.  `--placement` picks the tenant/host
+//! placement strategy (`least-loaded`, the default, or `round-robin`).
+//! Admission quotas are **per shard**: `--max-tenants M` with `--shards N`
+//! admits up to N × M tenants federation-wide.
+//!
+//! Its durable state has **one format**, the federated (v5) snapshot
+//! envelope.  With `--restore FILE` the daemon resumes from a file written
+//! by `oef-servicectl snapshot` (or the `Snapshot` wire command) instead of
+//! starting empty; the envelope carries the shard count, placement strategy
+//! and configuration, so no topology or config flags apply, and a file of
+//! any other version is refused with the version found and the one
+//! supported.
+//!
 //! With `--metrics-addr` the daemon also serves `GET /metrics` (Prometheus
 //! text exposition: per-shard solve-latency histograms, solver-cache and
-//! journal counters, per-tenant fairness-SLO series) and `GET /healthz` on a
-//! separate listener, printing one `oef-serviced metrics listening on
-//! <addr>` line.  Scrapes read the same atomic cells the worker thread
-//! updates — they never queue behind (or block) commands.
+//! journal counters, per-tenant fairness-SLO series), `GET /healthz`,
+//! `GET /attrib` and — with `--trace-sample N` — `GET /traces` on a separate
+//! listener, printing one `oef-serviced metrics listening on <addr>` line.
+//! Scrapes read the same atomic cells the worker thread updates — they never
+//! queue behind (or block) commands.
 //!
-//! With `--shards N` (N ≥ 2) the daemon serves a [`ShardCoordinator`]: N
-//! independent scheduler shards (one paper-cluster topology each), handles
-//! tagged with their shard index, ticks solved in parallel.  `--placement`
-//! picks the tenant/host placement strategy (`least-loaded`, the default, or
-//! `round-robin`).  Admission quotas are **per shard**: `--max-tenants M`
-//! with `--shards N` admits up to N × M tenants federation-wide.  Without
-//! `--shards` the daemon is the classic unsharded service — wire-identical
-//! to shard 0 of a federation.
-//!
-//! With `--restore`, the daemon resumes from a snapshot file written by
-//! `oef-servicectl snapshot` (or the `Snapshot` wire command) instead of
-//! starting empty; the file's `version` field decides the shape (v2 → one
-//! unsharded daemon, v5 federated envelope → coordinator; v3/v4 envelopes
-//! are refused with a pointer at `oef-servicectl migrate-snapshot`), so no
-//! topology flags apply.
-//!
-//! With `--journal-dir DIR` the daemon is **durable**: every mutating
-//! command is written to an append-only, checksummed journal *before* it is
-//! applied, and `DIR/snapshot.json` is atomically checkpointed every
-//! `--compact-every` commands (journal segments the checkpoint covers are
-//! deleted).  If `DIR` already holds a journal the daemon *recovers* —
-//! snapshot restore plus deterministic replay of the journal tail, torn or
-//! corrupt tails truncated at the last valid record — and no config flags
-//! apply (the checkpoint's embedded config wins).  `--fsync-every N` group-
-//! commits: fsync after every N-th append (1 = synchronous, the default;
-//! larger batches trade a bounded window of acknowledged-but-unsynced
-//! commands for throughput).  A journaled daemon always serves a
-//! coordinator (`--shards` defaults to 1; the v5 envelope is the journaled
-//! checkpoint format), and a clean shutdown checkpoints on exit so restart
-//! never needs tail replay.
+//! With `--journal-dir DIR` the coordinator is wrapped in [`Journaled`] and
+//! the daemon is **durable**: every mutating command is written to an
+//! append-only, checksummed journal *before* it is applied, and
+//! `DIR/snapshot.json` is atomically checkpointed every `--compact-every`
+//! commands (journal segments the checkpoint covers are deleted).  If `DIR`
+//! already holds a journal the daemon *recovers* — snapshot restore plus
+//! deterministic replay of the journal tail, torn or corrupt tails truncated
+//! at the last valid record — and no config flags apply (the checkpoint's
+//! embedded config wins).  `--fsync-every N` group-commits: fsync after
+//! every N-th append (1 = synchronous, the default; larger batches trade a
+//! bounded window of acknowledged-but-unsynced commands for throughput).  A
+//! clean shutdown checkpoints on exit so restart never needs tail replay.
 
 use oef_cluster::ClusterTopology;
-use oef_service::{CommandHandler, SchedulerService, Server, ServiceConfig};
+use oef_service::{CommandHandler, Server, ServiceConfig};
 use oef_shard::{placement_from_name, JournalOptions, Journaled, ShardCoordinator};
 use oef_trace::{TraceRing, Tracer};
 use std::io::Write;
@@ -63,6 +64,7 @@ struct Args {
     journal_dir: Option<String>,
     journal: JournalOptions,
     shards: usize,
+    /// A name `placement_from_name` resolves (checked where it is parsed).
     placement: String,
     /// `--trace-sample N`: record every N-th command as a span tree (0 =
     /// tracing off, the default — no per-command tracing work at all).
@@ -87,6 +89,8 @@ fn parse_args() -> Result<Args, String> {
         config: ServiceConfig::default(),
         config_flags: Vec::new(),
     };
+    // Journal tuning flags seen; meaningless (so refused) without a journal.
+    let mut journal_flags: Vec<String> = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
@@ -127,6 +131,12 @@ fn parse_args() -> Result<Args, String> {
             }
             "--placement" => {
                 args.placement = value("--placement")?;
+                if placement_from_name(&args.placement).is_none() {
+                    return Err(format!(
+                        "unknown placement `{}` (supported: least-loaded, round-robin)",
+                        args.placement
+                    ));
+                }
                 args.config_flags.push(flag);
             }
             "--trace-sample" => {
@@ -140,11 +150,13 @@ fn parse_args() -> Result<Args, String> {
                 args.journal.fsync_every = value("--fsync-every")?
                     .parse()
                     .map_err(|e| format!("bad --fsync-every: {e}"))?;
+                journal_flags.push(flag);
             }
             "--compact-every" => {
                 args.journal.compact_every = value("--compact-every")?
                     .parse()
                     .map_err(|e| format!("bad --compact-every: {e}"))?;
+                journal_flags.push(flag);
             }
             "--help" | "-h" => {
                 println!(
@@ -159,15 +171,10 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    if args.journal_dir.is_none()
-        && args.journal.fsync_every != JournalOptions::default().fsync_every
-    {
-        return Err("--fsync-every needs --journal-dir".to_string());
-    }
-    if args.journal_dir.is_none()
-        && args.journal.compact_every != JournalOptions::default().compact_every
-    {
-        return Err("--compact-every needs --journal-dir".to_string());
+    if args.journal_dir.is_none() {
+        if let Some(flag) = journal_flags.first() {
+            return Err(format!("{flag} needs --journal-dir"));
+        }
     }
     if args.restore.is_some() && !args.config_flags.is_empty() {
         return Err(format!(
@@ -194,12 +201,12 @@ fn fail(message: impl std::fmt::Display) -> ! {
 /// `GET /traces` on the metrics listener.
 fn serve<C: CommandHandler>(
     mut service: C,
-    addr: &str,
-    metrics_addr: Option<&str>,
+    args: &Args,
     tracer: Option<Tracer>,
     rounds_run: fn(&C) -> usize,
 ) {
-    let metrics_server = metrics_addr.map(|maddr| {
+    let addr = args.addr.as_str();
+    let metrics_server = args.metrics_addr.as_deref().map(|maddr| {
         let registry = oef_obs::Registry::new();
         service.attach_observability(&registry);
         // Per-tenant solve-cost attribution rides on the metrics listener:
@@ -243,49 +250,72 @@ fn serve<C: CommandHandler>(
     );
 }
 
-/// Builds the coordinator a fresh journal starts from: restored from a
-/// snapshot file if `--restore` was given, empty with the flag topology
-/// otherwise.
-fn journal_seed(args: &Args) -> ShardCoordinator {
-    if let Some(path) = &args.restore {
-        let json = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail(format!("cannot read snapshot {path}: {e}")));
-        match snapshot_version(&json) {
-            Some(3) | Some(4) => fail(format!(
-                "{path} is an old federated envelope; upgrade it first with \
-                 `oef-servicectl migrate-snapshot {path} <v5-file>`"
-            )),
-            Some(5) => ShardCoordinator::from_federated_json(&json).unwrap_or_else(|e| fail(e)),
-            // A v2 (unsharded) snapshot journals as a single-shard
-            // federation — wire-identical, and the v5 envelope is the only
-            // checkpoint format the journal writes.
-            _ => {
-                let envelope = oef_shard::wrap_v2_snapshot(&json)
-                    .unwrap_or_else(|e| fail(format!("{path}: {e}")));
-                let json = serde_json::to_string(&envelope)
-                    .unwrap_or_else(|e| fail(format!("cannot serialize envelope: {e}")));
-                ShardCoordinator::from_federated_json(&json).unwrap_or_else(|e| fail(e))
-            }
-        }
-    } else {
-        let placement = placement_from_name(&args.placement).unwrap_or_else(|| {
-            fail(format!(
-                "unknown placement `{}` (supported: least-loaded, round-robin)",
-                args.placement
-            ))
-        });
+/// Builds the coordinator every fresh daemon — journaled or not — starts
+/// from: restored from the `--restore` envelope if one was given, empty with
+/// the flag topology otherwise.
+fn build_coordinator(args: &Args) -> ShardCoordinator {
+    let Some(path) = &args.restore else {
         let topologies = (0..args.shards)
             .map(|_| ClusterTopology::paper_cluster())
             .collect();
-        ShardCoordinator::new(topologies, args.config.clone(), placement)
-            .unwrap_or_else(|e| fail(e))
-    }
+        let placement = placement_from_name(&args.placement).expect("checked by parse_args");
+        return ShardCoordinator::new(topologies, args.config.clone(), placement)
+            .unwrap_or_else(|e| fail(e));
+    };
+    let json = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail(format!("cannot read snapshot {path}: {e}")));
+    let coordinator = ShardCoordinator::from_federated_json(&json)
+        .unwrap_or_else(|e| fail(format!("cannot restore {path}: {e}")));
+    println!(
+        "oef-serviced restoring {} shard(s) from {path}",
+        coordinator.num_shards()
+    );
+    coordinator
 }
 
-fn snapshot_version(json: &str) -> Option<u64> {
-    serde_json::from_str::<serde::Value>(json)
-        .ok()
-        .and_then(|v| v.get("version").and_then(serde::Value::as_u64))
+/// Recovers the journaled coordinator `dir` holds: the checkpoint plus the
+/// journal tail are authoritative, so flags that would contradict them are
+/// refused, not ignored.
+fn recover(dir: &Path, args: &Args, tracer: Option<&Tracer>) -> Journaled {
+    if let Some(path) = &args.restore {
+        fail(format!(
+            "{} already holds a journal; refusing --restore {path} (recover from \
+             the journal, or point --journal-dir at a fresh directory)",
+            dir.display()
+        ));
+    }
+    if !args.config_flags.is_empty() {
+        fail(format!(
+            "{} already holds a journal whose checkpoint embeds the configuration; \
+             drop the conflicting flag(s) {}",
+            dir.display(),
+            args.config_flags.join(", ")
+        ));
+    }
+    let (journaled, summary) = Journaled::recover_with(dir, args.journal, tracer)
+        .unwrap_or_else(|e| fail(format!("cannot recover from {}: {e}", dir.display())));
+    oef_trace::log_json(
+        "info",
+        "recovery",
+        "recovered from journal",
+        &[
+            ("dir", &dir.display().to_string()),
+            ("shards", &journaled.coordinator().num_shards().to_string()),
+            ("base_seq", &summary.base_seq.to_string()),
+            ("replayed", &summary.replayed.to_string()),
+            ("stale_skipped", &summary.stale_skipped.to_string()),
+            ("torn_bytes", &summary.torn_bytes.to_string()),
+            ("gap_dropped", &summary.gap_dropped.to_string()),
+            ("rounds", &summary.rounds.to_string()),
+        ],
+    );
+    println!(
+        "oef-serviced recovered {} shard(s) from {}: {} command(s) replayed",
+        journaled.coordinator().num_shards(),
+        dir.display(),
+        summary.replayed,
+    );
+    journaled
 }
 
 fn main() {
@@ -302,53 +332,14 @@ fn main() {
             TraceRing::new(oef_trace::DEFAULT_TOP_K, oef_trace::DEFAULT_RECENT),
         )
     });
-
-    if let Some(dir) = &args.journal_dir {
-        let dir = Path::new(dir);
-        let journaled = if dir.join("snapshot.json").exists() {
-            // Existing journal: the checkpoint + tail are authoritative;
-            // flags that would contradict them are refused, not ignored.
-            if let Some(path) = &args.restore {
-                fail(format!(
-                    "{} already holds a journal; refusing --restore {path} (recover from \
-                     the journal, or point --journal-dir at a fresh directory)",
-                    dir.display()
-                ));
-            }
-            if !args.config_flags.is_empty() {
-                fail(format!(
-                    "{} already holds a journal whose checkpoint embeds the configuration; \
-                     drop the conflicting flag(s) {}",
-                    dir.display(),
-                    args.config_flags.join(", ")
-                ));
-            }
-            let (journaled, summary) = Journaled::recover_with(dir, args.journal, tracer.as_ref())
-                .unwrap_or_else(|e| fail(format!("cannot recover from {}: {e}", dir.display())));
-            oef_trace::log_json(
-                "info",
-                "recovery",
-                "recovered from journal",
-                &[
-                    ("dir", &dir.display().to_string()),
-                    ("shards", &journaled.coordinator().num_shards().to_string()),
-                    ("base_seq", &summary.base_seq.to_string()),
-                    ("replayed", &summary.replayed.to_string()),
-                    ("stale_skipped", &summary.stale_skipped.to_string()),
-                    ("torn_bytes", &summary.torn_bytes.to_string()),
-                    ("gap_dropped", &summary.gap_dropped.to_string()),
-                    ("rounds", &summary.rounds.to_string()),
-                ],
-            );
-            println!(
-                "oef-serviced recovered {} shard(s) from {}: {} command(s) replayed",
-                journaled.coordinator().num_shards(),
-                dir.display(),
-                summary.replayed,
-            );
-            journaled
-        } else {
-            let coordinator = journal_seed(&args);
+    let journaled = match args.journal_dir.as_deref().map(Path::new) {
+        None => {
+            let coordinator = build_coordinator(&args);
+            return serve(coordinator, &args, tracer, ShardCoordinator::rounds_run);
+        }
+        Some(dir) if dir.join("snapshot.json").exists() => recover(dir, &args, tracer.as_ref()),
+        Some(dir) => {
+            let coordinator = build_coordinator(&args);
             println!(
                 "oef-serviced journaling {} shard(s) into {} (fsync every {}, checkpoint every {})",
                 coordinator.num_shards(),
@@ -359,94 +350,7 @@ fn main() {
             Journaled::create(coordinator, dir, args.journal).unwrap_or_else(|e| {
                 fail(format!("cannot create journal in {}: {e}", dir.display()))
             })
-        };
-        serve(
-            journaled,
-            &args.addr,
-            args.metrics_addr.as_deref(),
-            tracer,
-            Journaled::rounds_run,
-        );
-        return;
-    }
-
-    if let Some(path) = &args.restore {
-        let json = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail(format!("cannot read snapshot {path}: {e}")));
-        // The snapshot's version field decides the daemon's shape: a v2
-        // snapshot restores the classic unsharded service, a v5 envelope a
-        // full federation.
-        match snapshot_version(&json) {
-            Some(3) => {
-                fail(format!(
-                    "{path} is a v3 federated envelope (predates handle forwarding); upgrade \
-                     it first with `oef-servicectl migrate-snapshot {path} <v5-file>`"
-                ));
-            }
-            Some(4) => {
-                fail(format!(
-                    "{path} is a v4 federated envelope (predates the command journal); upgrade \
-                     it first with `oef-servicectl migrate-snapshot {path} <v5-file>`"
-                ));
-            }
-            Some(5) => {
-                let coordinator =
-                    ShardCoordinator::from_federated_json(&json).unwrap_or_else(|e| fail(e));
-                println!(
-                    "oef-serviced restoring {} shard(s) from {path}",
-                    coordinator.num_shards()
-                );
-                serve(
-                    coordinator,
-                    &args.addr,
-                    args.metrics_addr.as_deref(),
-                    tracer,
-                    ShardCoordinator::rounds_run,
-                );
-            }
-            _ => {
-                let service =
-                    SchedulerService::from_snapshot_json(&json).unwrap_or_else(|e| fail(e));
-                serve(
-                    service,
-                    &args.addr,
-                    args.metrics_addr.as_deref(),
-                    tracer,
-                    SchedulerService::rounds_run,
-                );
-            }
         }
-        return;
-    }
-
-    if args.shards > 1 {
-        let placement = placement_from_name(&args.placement).unwrap_or_else(|| {
-            fail(format!(
-                "unknown placement `{}` (supported: least-loaded, round-robin)",
-                args.placement
-            ))
-        });
-        let topologies = (0..args.shards)
-            .map(|_| ClusterTopology::paper_cluster())
-            .collect();
-        let coordinator = ShardCoordinator::new(topologies, args.config.clone(), placement)
-            .unwrap_or_else(|e| fail(e));
-        serve(
-            coordinator,
-            &args.addr,
-            args.metrics_addr.as_deref(),
-            tracer,
-            ShardCoordinator::rounds_run,
-        );
-    } else {
-        let service = SchedulerService::new(ClusterTopology::paper_cluster(), args.config.clone())
-            .unwrap_or_else(|e| fail(e));
-        serve(
-            service,
-            &args.addr,
-            args.metrics_addr.as_deref(),
-            tracer,
-            SchedulerService::rounds_run,
-        );
-    }
+    };
+    serve(journaled, &args, tracer, Journaled::rounds_run);
 }

@@ -28,8 +28,10 @@
 //!   cursor + forwarding table + rebalancer config + the journal sequence
 //!   number the snapshot covers).
 //!
-//! Shard 0 uses the identity handle encoding, so a single-shard coordinator
-//! is wire-indistinguishable from an unsharded daemon.
+//! Shard 0 uses the identity handle encoding and a single-shard coordinator
+//! ticks serially, so it answers every command a bare [`SchedulerService`]
+//! answers with the same reply — which is why `oef-serviced` serves a
+//! coordinator at every shard count.
 
 use crate::placement::{ShardLoad, ShardPlacement};
 use crate::snapshot::{
@@ -221,10 +223,10 @@ impl ShardCoordinator {
     ///
     /// # Errors
     ///
-    /// Fails on malformed envelopes, version mismatches (v2, v3 and v4
-    /// snapshots are pointed at `oef-servicectl migrate-snapshot`), unknown placement
-    /// strategies or rebalance policies, corrupted forwarding tables, and
-    /// any per-shard v2 validation failure.
+    /// Fails on malformed envelopes, any `version` other than
+    /// [`FEDERATED_SNAPSHOT_VERSION`] (a bare shard snapshot included),
+    /// unknown placement strategies or rebalance policies, corrupted
+    /// forwarding tables, and any per-shard v2 validation failure.
     pub fn from_federated_json(snapshot: &str) -> Result<Self, ServiceError> {
         let parsed = Self::parse_federated(snapshot)?;
         let solve_ewma = vec![0.0; parsed.shards.len()];
@@ -253,25 +255,6 @@ impl ShardCoordinator {
             serde_json::from_str(snapshot).map_err(|e| ServiceError::BadSnapshot(e.to_string()))?;
         match value.get("version").and_then(serde::Value::as_u64) {
             Some(v) if v == u64::from(FEDERATED_SNAPSHOT_VERSION) => {}
-            Some(2) => {
-                return Err(ServiceError::BadSnapshot(format!(
-                    "this is a v2 single-shard snapshot; restore it on an unsharded daemon, or \
-                     wrap it into a v{FEDERATED_SNAPSHOT_VERSION} envelope with `oef-servicectl \
-                     migrate-snapshot`"
-                )));
-            }
-            Some(3) => {
-                return Err(ServiceError::BadSnapshot(format!(
-                    "this is a v3 federated envelope (predates handle forwarding); upgrade it \
-                     to v{FEDERATED_SNAPSHOT_VERSION} with `oef-servicectl migrate-snapshot`"
-                )));
-            }
-            Some(4) => {
-                return Err(ServiceError::BadSnapshot(format!(
-                    "this is a v4 federated envelope (predates the command journal); upgrade \
-                     it to v{FEDERATED_SNAPSHOT_VERSION} with `oef-servicectl migrate-snapshot`"
-                )));
-            }
             Some(v) => {
                 return Err(ServiceError::BadSnapshot(format!(
                     "federated snapshot version {v} is not supported (coordinator supports \
@@ -1375,20 +1358,44 @@ mod tests {
     }
 
     #[test]
-    fn v2_snapshots_are_pointed_at_the_migration_tool() {
-        let mut single = oef_service::SchedulerService::new(
-            ClusterTopology::paper_cluster(),
-            ServiceConfig::default(),
-        )
-        .unwrap();
-        let Response::Snapshot { snapshot } = single.apply(Command::Snapshot, 0) else {
+    fn every_other_version_is_refused_by_one_arm() {
+        let mut c = coordinator(2);
+        let Response::Snapshot { snapshot } = c.apply(Command::Snapshot, 0) else {
             panic!("snapshot failed");
         };
-        let err = ShardCoordinator::from_federated_json(&snapshot).unwrap_err();
-        let ServiceError::BadSnapshot(reason) = err else {
-            panic!("expected BadSnapshot");
+        let refusal = |json: &str| match ShardCoordinator::from_federated_json(json) {
+            Err(ServiceError::BadSnapshot(reason)) => reason,
+            other => panic!("expected BadSnapshot, got {other:?}"),
         };
-        assert!(reason.contains("migrate-snapshot"), "reason: {reason}");
+        // A bare shard snapshot (version 2) is as foreign as an envelope of
+        // any other vintage: the version found, the version supported.
+        let bare = c.shards()[0].snapshot_json().unwrap();
+        assert_eq!(
+            refusal(&bare),
+            "federated snapshot version 2 is not supported (coordinator supports 5)"
+        );
+        for other in [0u64, 3, 4, 6] {
+            let edited = snapshot.replacen("\"version\":5", &format!("\"version\":{other}"), 1);
+            assert_ne!(edited, snapshot, "fixture must actually change the version");
+            assert_eq!(
+                refusal(&edited),
+                format!(
+                    "federated snapshot version {other} is not supported (coordinator supports 5)"
+                )
+            );
+        }
+        let text = snapshot.replacen("\"version\":5", "\"version\":\"5\"", 1);
+        assert!(refusal(&text).contains("no numeric `version` field"));
+        // The wire command takes the same arm.
+        let r = c.apply(Command::Restore { snapshot: bare }, 0);
+        assert!(
+            matches!(
+                &r,
+                Response::Error { code: ErrorCode::InvalidArgument, message }
+                    if message.contains("version 2 is not supported")
+            ),
+            "{r:?}"
+        );
     }
 
     fn submit(c: &mut ShardCoordinator, tenant: u64) -> u64 {
@@ -1694,39 +1701,6 @@ mod tests {
             panic!("expected BadSnapshot");
         };
         assert!(reason.contains("cycle"), "reason: {reason}");
-    }
-
-    #[test]
-    fn v3_snapshots_are_pointed_at_the_migration_tool() {
-        let mut c = coordinator(2);
-        let Response::Snapshot { snapshot } = c.apply(Command::Snapshot, 0) else {
-            panic!("snapshot failed");
-        };
-        let v3 = snapshot.replace("\"version\":5", "\"version\":3");
-        assert_ne!(v3, snapshot, "fixture must actually downgrade");
-        let err = ShardCoordinator::from_federated_json(&v3).unwrap_err();
-        let ServiceError::BadSnapshot(reason) = err else {
-            panic!("expected BadSnapshot");
-        };
-        assert!(reason.contains("migrate-snapshot"), "reason: {reason}");
-    }
-
-    #[test]
-    fn v4_snapshots_are_pointed_at_the_migration_tool() {
-        let mut c = coordinator(2);
-        let Response::Snapshot { snapshot } = c.apply(Command::Snapshot, 0) else {
-            panic!("snapshot failed");
-        };
-        let v4 = snapshot
-            .replace("\"version\":5", "\"version\":4")
-            .replace(",\"journal_seq\":0", "");
-        assert_ne!(v4, snapshot, "fixture must actually downgrade");
-        let err = ShardCoordinator::from_federated_json(&v4).unwrap_err();
-        let ServiceError::BadSnapshot(reason) = err else {
-            panic!("expected BadSnapshot");
-        };
-        assert!(reason.contains("migrate-snapshot"), "reason: {reason}");
-        assert!(reason.contains("journal"), "reason: {reason}");
     }
 
     #[test]

@@ -23,12 +23,10 @@
 //!   on lookup) keeps every handle a client ever held working across any
 //!   number of moves.  `Rebalance` runs the online
 //!   [`oef_rebalance::Rebalancer`] over per-shard load and executes the plan.
-//! * **Federated snapshots** — v5 envelopes carry one v2 snapshot per shard
-//!   plus the router's own state: placement cursor, forwarding table,
-//!   rebalancer config, journal epoch ([`FederatedSnapshot`]).
-//!   [`wrap_v2_snapshot`] migrates an unsharded snapshot into a single-shard
-//!   federation; [`upgrade_v3_snapshot`] / [`upgrade_v4_snapshot`] lift
-//!   PR-4- and PR-5-era envelopes to v5.
+//! * **Federated snapshots** — the v5 envelope, the one durable format of
+//!   a daemon, carries one `ServiceSnapshot` per shard plus the router's own
+//!   state: placement cursor, forwarding table, rebalancer config, journal
+//!   epoch ([`FederatedSnapshot`]).
 //! * **Write-ahead journal + crash recovery** — [`Journaled`] wraps the
 //!   coordinator with an `oef-journal` command log: mutating commands are
 //!   appended (group-committed per [`JournalOptions`]) before they apply,
@@ -39,8 +37,8 @@
 //!   fault-injection e2e suite.
 //!
 //! The `oef-serviced` / `oef-servicectl` binaries are built from this crate
-//! (the daemon serves either one `SchedulerService` or a coordinator,
-//! depending on `--shards`).
+//! (the daemon always serves a coordinator — one shard unless `--shards`
+//! says otherwise — optionally wrapped in [`Journaled`]).
 //!
 //! ```
 //! use oef_cluster::ClusterTopology;
@@ -75,6 +73,5 @@ pub use coordinator::ShardCoordinator;
 pub use journaled::{Crashed, JournalOptions, Journaled, RecoverySummary};
 pub use placement::{placement_from_name, LeastLoaded, RoundRobin, ShardLoad, ShardPlacement};
 pub use snapshot::{
-    upgrade_v3_snapshot, upgrade_v4_snapshot, wrap_v2_snapshot, FederatedSnapshot, ForwardingEntry,
-    MigrateError, PlacementState, FEDERATED_SNAPSHOT_VERSION,
+    FederatedSnapshot, ForwardingEntry, PlacementState, FEDERATED_SNAPSHOT_VERSION,
 };

@@ -1,30 +1,26 @@
-//! Federated (v5) snapshots: per-shard v2 snapshots plus everything the
-//! router itself owns.
+//! The federated (v5) snapshot envelope — the one durable format of a
+//! daemon.
 //!
-//! A sharded daemon is N independent schedulers behind one router, so its
-//! durable state is exactly N independent v2 [`oef_service::ServiceSnapshot`]s
-//! — each shard's snapshot is bit-for-bit what that shard would have written
-//! as an unsharded daemon — plus the router's own state: the coordinator
-//! round counter, the placement strategy's cursor, the **handle-forwarding
-//! table** (old handle → live handle, one entry per migration not yet retired
-//! by its tenant leaving) and the **rebalancer configuration**.  Restoring
-//! the envelope therefore reproduces not only every shard's allocations but
-//! also where the next tenant lands, which old handles still route, and what
-//! the next `Rebalance` pass plans — restart equivalence across a migration
-//! straddling the snapshot boundary.  Since v5 the envelope also records the
-//! **journal sequence number** the snapshot covers, so a write-ahead journal
-//! (`oef-journal`) replays exactly the commands the snapshot does not.
+//! A daemon is N independent schedulers behind one router (N = 1 unless
+//! `--shards` says otherwise), so its durable state is exactly N independent
+//! [`oef_service::ServiceSnapshot`]s — each `shards[]` entry is bit-for-bit
+//! what that shard core writes on its own, and restores through that core's
+//! own version gate and validations — plus the router's own state: the
+//! coordinator round counter, the placement strategy's cursor, the
+//! **handle-forwarding table** (old handle → live handle, one entry per
+//! migration not yet retired by its tenant leaving), the **rebalancer
+//! configuration** and the **journal sequence number** the snapshot covers.
+//! Restoring the envelope therefore reproduces not only every shard's
+//! allocations but also where the next tenant lands, which old handles still
+//! route, what the next `Rebalance` pass plans, and — under a write-ahead
+//! journal (`oef-journal`) — exactly which commands remain to replay:
+//! restart equivalence across a migration straddling the snapshot boundary.
 //!
-//! **Version history.**  v2 is a single-shard [`oef_service::ServiceSnapshot`]
-//! (still the format of unsharded daemons); v3 was PR 4's envelope without
-//! forwarding or rebalancer state; v4 added those but predates the journal
-//! epoch; v5 is this envelope.  `oef-servicectl migrate-snapshot` wraps a v2
-//! snapshot into a single-shard v5 envelope ([`wrap_v2_snapshot`]) and
-//! upgrades v3/v4 envelopes in place ([`upgrade_v3_snapshot`],
-//! [`upgrade_v4_snapshot`] — missing state starts at its defaults: an empty
-//! forwarding table, the default rebalancer, journal sequence 0, which is
-//! exactly the state those federations were in).  v1 remains unmigratable and
-//! is refused with a structured error.
+//! `--restore`, the wire `Restore` command and journal checkpoints all read
+//! this envelope and nothing else: a document whose `version` is not
+//! [`FEDERATED_SNAPSHOT_VERSION`] — a bare shard snapshot included — is
+//! refused by one structured error naming the version found and the one
+//! supported.
 
 use oef_rebalance::RebalancerConfig;
 use serde::{Deserialize, Serialize};
@@ -101,204 +97,23 @@ pub(crate) struct FederatedSnapshotHeader {
     pub rebalancer: RebalancerConfig,
 }
 
-/// Errors wrapping or upgrading snapshots into a v5 envelope.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MigrateError {
-    /// The input was not a valid snapshot of the expected version.
-    BadSnapshot(String),
-}
-
-impl std::fmt::Display for MigrateError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MigrateError::BadSnapshot(reason) => write!(f, "bad snapshot: {reason}"),
-        }
-    }
-}
-
-impl std::error::Error for MigrateError {}
-
-/// Wraps a v2 service snapshot into a single-shard v5 envelope (shard 0, so
-/// every handle in the snapshot keeps its exact wire value).  The forwarding
-/// table starts empty — an unsharded daemon never migrated anything — and
-/// the rebalancer at its defaults.
-///
-/// The input is fully validated by the unsharded restore path first — a
-/// corrupt v2 snapshot is refused here, not at some later daemon start.
-///
-/// # Errors
-///
-/// Fails when the input does not parse, carries the wrong version, or fails
-/// any of the v2 restore validations.
-pub fn wrap_v2_snapshot(v2_json: &str) -> Result<FederatedSnapshot, MigrateError> {
-    let value: serde::Value =
-        serde_json::from_str(v2_json).map_err(|e| MigrateError::BadSnapshot(e.to_string()))?;
-    // Full validation: identity maps, topology invariants, policy name.
-    oef_service::SchedulerService::from_snapshot_value(&value)
-        .map_err(|e| MigrateError::BadSnapshot(e.to_string()))?;
-    let round = value
-        .get("round")
-        .and_then(serde::Value::as_u64)
-        .ok_or_else(|| MigrateError::BadSnapshot("no numeric `round` field".to_string()))?;
-    Ok(FederatedSnapshot {
-        version: FEDERATED_SNAPSHOT_VERSION,
-        round: round as usize,
-        journal_seq: 0,
-        placement: PlacementState {
-            strategy: "least-loaded".to_string(),
-            cursor: 0,
-        },
-        forwarding: Vec::new(),
-        rebalancer: RebalancerConfig::default(),
-        shards: vec![value],
-    })
-}
-
-/// Upgrades a v3 federated envelope (PR 4's layout: no forwarding table, no
-/// rebalancer state) to v5.  A v3 federation never migrated a tenant nor
-/// journaled a command, so the faithful upgrade is an empty forwarding table,
-/// the default rebalancer configuration and journal sequence 0; round,
-/// placement cursor and every per-shard snapshot pass through unchanged
-/// (each re-validated through the full v2 restore path).
-///
-/// # Errors
-///
-/// Fails when the input does not parse, is not version 3, or any shard entry
-/// fails v2 validation.
-pub fn upgrade_v3_snapshot(v3_json: &str) -> Result<FederatedSnapshot, MigrateError> {
-    let value: serde::Value =
-        serde_json::from_str(v3_json).map_err(|e| MigrateError::BadSnapshot(e.to_string()))?;
-    match value.get("version").and_then(serde::Value::as_u64) {
-        Some(3) => {}
-        Some(v) => {
-            return Err(MigrateError::BadSnapshot(format!(
-                "expected a v3 federated envelope, found version {v}"
-            )));
-        }
-        None => {
-            return Err(MigrateError::BadSnapshot(
-                "snapshot has no numeric `version` field".to_string(),
-            ));
-        }
-    }
-    let round = value
-        .get("round")
-        .and_then(serde::Value::as_u64)
-        .ok_or_else(|| MigrateError::BadSnapshot("no numeric `round` field".to_string()))?;
-    let placement = value
-        .get("placement")
-        .ok_or_else(|| MigrateError::BadSnapshot("no `placement` field".to_string()))
-        .and_then(|p| {
-            PlacementState::deserialize(p).map_err(|e| MigrateError::BadSnapshot(e.to_string()))
-        })?;
-    let shards = value
-        .get("shards")
-        .and_then(serde::Value::as_array)
-        .ok_or_else(|| MigrateError::BadSnapshot("no `shards` array".to_string()))?;
-    if shards.is_empty() {
-        return Err(MigrateError::BadSnapshot(
-            "v3 envelope holds no shards".to_string(),
-        ));
-    }
-    for (i, entry) in shards.iter().enumerate() {
-        oef_service::SchedulerService::from_snapshot_value(entry)
-            .map_err(|e| MigrateError::BadSnapshot(format!("shard {i}: {e}")))?;
-    }
-    Ok(FederatedSnapshot {
-        version: FEDERATED_SNAPSHOT_VERSION,
-        round: round as usize,
-        journal_seq: 0,
-        placement,
-        forwarding: Vec::new(),
-        rebalancer: RebalancerConfig::default(),
-        shards: shards.to_vec(),
-    })
-}
-
-/// Upgrades a v4 federated envelope (PR 5's layout: forwarding table and
-/// rebalancer state, but no journal sequence) to v5.  A v4 federation never
-/// journaled a command, so the faithful upgrade stamps journal sequence 0 —
-/// everything else passes through unchanged (each shard re-validated through
-/// the full v2 restore path).
-///
-/// # Errors
-///
-/// Fails when the input does not parse, is not version 4, or any shard entry
-/// fails v2 validation.
-pub fn upgrade_v4_snapshot(v4_json: &str) -> Result<FederatedSnapshot, MigrateError> {
-    let value: serde::Value =
-        serde_json::from_str(v4_json).map_err(|e| MigrateError::BadSnapshot(e.to_string()))?;
-    match value.get("version").and_then(serde::Value::as_u64) {
-        Some(4) => {}
-        Some(v) => {
-            return Err(MigrateError::BadSnapshot(format!(
-                "expected a v4 federated envelope, found version {v}"
-            )));
-        }
-        None => {
-            return Err(MigrateError::BadSnapshot(
-                "snapshot has no numeric `version` field".to_string(),
-            ));
-        }
-    }
-    let round = value
-        .get("round")
-        .and_then(serde::Value::as_u64)
-        .ok_or_else(|| MigrateError::BadSnapshot("no numeric `round` field".to_string()))?;
-    let placement = value
-        .get("placement")
-        .ok_or_else(|| MigrateError::BadSnapshot("no `placement` field".to_string()))
-        .and_then(|p| {
-            PlacementState::deserialize(p).map_err(|e| MigrateError::BadSnapshot(e.to_string()))
-        })?;
-    let forwarding = value
-        .get("forwarding")
-        .ok_or_else(|| MigrateError::BadSnapshot("no `forwarding` field".to_string()))
-        .and_then(|f| {
-            Vec::<ForwardingEntry>::deserialize(f)
-                .map_err(|e| MigrateError::BadSnapshot(e.to_string()))
-        })?;
-    let rebalancer = value
-        .get("rebalancer")
-        .ok_or_else(|| MigrateError::BadSnapshot("no `rebalancer` field".to_string()))
-        .and_then(|r| {
-            RebalancerConfig::deserialize(r).map_err(|e| MigrateError::BadSnapshot(e.to_string()))
-        })?;
-    let shards = value
-        .get("shards")
-        .and_then(serde::Value::as_array)
-        .ok_or_else(|| MigrateError::BadSnapshot("no `shards` array".to_string()))?;
-    if shards.is_empty() {
-        return Err(MigrateError::BadSnapshot(
-            "v4 envelope holds no shards".to_string(),
-        ));
-    }
-    for (i, entry) in shards.iter().enumerate() {
-        oef_service::SchedulerService::from_snapshot_value(entry)
-            .map_err(|e| MigrateError::BadSnapshot(format!("shard {i}: {e}")))?;
-    }
-    Ok(FederatedSnapshot {
-        version: FEDERATED_SNAPSHOT_VERSION,
-        round: round as usize,
-        journal_seq: 0,
-        placement,
-        forwarding,
-        rebalancer,
-        shards: shards.to_vec(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardCoordinator;
     use oef_cluster::ClusterTopology;
-    use oef_service::{Command, Response, SchedulerService, ServiceConfig};
+    use oef_service::{Command, ServiceConfig, ServiceError};
 
-    fn v2_snapshot() -> String {
-        let mut service =
-            SchedulerService::new(ClusterTopology::paper_cluster(), ServiceConfig::default())
-                .unwrap();
-        service.apply(
+    /// A one-shard federation after one round, as its envelope and as the
+    /// bare shard snapshot inside it.
+    fn envelope_and_shard_entry() -> (String, String) {
+        let mut coordinator = ShardCoordinator::new(
+            vec![ClusterTopology::paper_cluster()],
+            ServiceConfig::default(),
+            crate::placement_from_name("least-loaded").unwrap(),
+        )
+        .unwrap();
+        coordinator.apply(
             Command::TenantJoin {
                 name: "alice".into(),
                 weight: 1,
@@ -306,119 +121,52 @@ mod tests {
             },
             0,
         );
-        service.apply(Command::Tick, 0);
-        match service.apply(Command::Snapshot, 0) {
-            Response::Snapshot { snapshot } => snapshot,
-            other => panic!("snapshot failed: {other:?}"),
-        }
-    }
-
-    /// A v3 envelope as PR 4 wrote it: no forwarding, no rebalancer.
-    fn v3_envelope() -> String {
-        format!(
-            "{{\"version\":3,\"round\":1,\"placement\":{{\"strategy\":\"round-robin\",\
-             \"cursor\":5}},\"shards\":[{}]}}",
-            v2_snapshot()
-        )
-    }
-
-    /// A v4 envelope as PR 5 wrote it: forwarding and rebalancer state, but
-    /// no journal sequence.
-    fn v4_envelope() -> String {
-        let rebalancer = serde_json::to_string(&RebalancerConfig::default()).unwrap();
-        format!(
-            "{{\"version\":4,\"round\":2,\"placement\":{{\"strategy\":\"round-robin\",\
-             \"cursor\":7}},\"forwarding\":[{{\"from\":72057594037927937,\"to\":2}}],\
-             \"rebalancer\":{rebalancer},\"shards\":[{}]}}",
-            v2_snapshot()
+        coordinator.apply(Command::Tick, 0);
+        (
+            coordinator.snapshot_json().unwrap(),
+            coordinator.shards()[0].snapshot_json().unwrap(),
         )
     }
 
     #[test]
     fn envelope_round_trips_through_json() {
-        let mut wrapped = wrap_v2_snapshot(&v2_snapshot()).unwrap();
-        wrapped.forwarding.push(ForwardingEntry {
+        let (json, _) = envelope_and_shard_entry();
+        let mut envelope: FederatedSnapshot = serde_json::from_str(&json).unwrap();
+        assert_eq!(envelope.version, FEDERATED_SNAPSHOT_VERSION);
+        assert_eq!(envelope.round, 1);
+        assert_eq!(envelope.shards.len(), 1);
+        envelope.forwarding.push(ForwardingEntry {
             from: (1u64 << 56) | 1,
             to: 2,
         });
-        assert_eq!(wrapped.version, FEDERATED_SNAPSHOT_VERSION);
-        assert_eq!(wrapped.round, 1);
-        assert_eq!(wrapped.shards.len(), 1);
-        let json = serde_json::to_string(&wrapped).unwrap();
+        let json = serde_json::to_string(&envelope).unwrap();
         let back: FederatedSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, wrapped);
-    }
-
-    #[test]
-    fn v3_envelopes_upgrade_preserving_round_and_cursor() {
-        let upgraded = upgrade_v3_snapshot(&v3_envelope()).unwrap();
-        assert_eq!(upgraded.version, FEDERATED_SNAPSHOT_VERSION);
-        assert_eq!(upgraded.round, 1);
-        assert_eq!(upgraded.placement.strategy, "round-robin");
-        assert_eq!(upgraded.placement.cursor, 5);
-        assert!(upgraded.forwarding.is_empty(), "v3 never migrated");
-        assert_eq!(upgraded.rebalancer, RebalancerConfig::default());
-        assert_eq!(upgraded.shards.len(), 1);
-    }
-
-    #[test]
-    fn v4_envelopes_upgrade_preserving_forwarding_and_rebalancer() {
-        let upgraded = upgrade_v4_snapshot(&v4_envelope()).unwrap();
-        assert_eq!(upgraded.version, FEDERATED_SNAPSHOT_VERSION);
-        assert_eq!(upgraded.round, 2);
-        assert_eq!(upgraded.journal_seq, 0, "v4 never journaled");
-        assert_eq!(upgraded.placement.cursor, 7);
-        assert_eq!(
-            upgraded.forwarding,
-            vec![ForwardingEntry {
-                from: (1u64 << 56) | 1,
-                to: 2,
-            }],
-            "the forwarding table must survive the upgrade verbatim"
-        );
-        assert_eq!(upgraded.rebalancer, RebalancerConfig::default());
-        assert_eq!(upgraded.shards.len(), 1);
-    }
-
-    #[test]
-    fn v4_upgrade_refuses_wrong_versions_and_corrupt_shards() {
-        let err = upgrade_v4_snapshot(&v2_snapshot()).unwrap_err();
-        assert!(matches!(err, MigrateError::BadSnapshot(_)));
-        let err = upgrade_v4_snapshot(&v3_envelope()).unwrap_err();
-        assert!(matches!(err, MigrateError::BadSnapshot(_)));
-        let corrupt = v4_envelope().replace("\"version\":2", "\"version\":7");
-        assert_ne!(corrupt, v4_envelope(), "fixture must hit the shard entry");
-        assert!(matches!(
-            upgrade_v4_snapshot(&corrupt).unwrap_err(),
-            MigrateError::BadSnapshot(_)
-        ));
-    }
-
-    #[test]
-    fn v3_upgrade_refuses_wrong_versions_and_corrupt_shards() {
-        // A v2 snapshot is not a v3 envelope.
-        let err = upgrade_v3_snapshot(&v2_snapshot()).unwrap_err();
-        assert!(matches!(err, MigrateError::BadSnapshot(_)));
-        // A corrupt shard entry fails the per-shard v2 validation.
-        let corrupt = v3_envelope().replace("\"version\":2", "\"version\":7");
-        assert!(matches!(
-            upgrade_v3_snapshot(&corrupt).unwrap_err(),
-            MigrateError::BadSnapshot(_)
-        ));
+        assert_eq!(back, envelope);
     }
 
     #[test]
     fn corrupt_v2_input_is_refused() {
-        let err = wrap_v2_snapshot("{\"version\":2}").unwrap_err();
-        assert!(matches!(err, MigrateError::BadSnapshot(_)));
-        let err = wrap_v2_snapshot("not json").unwrap_err();
-        assert!(matches!(err, MigrateError::BadSnapshot(_)));
-        // v1 snapshots stay dead: the wrapper refuses them the same way the
-        // unsharded daemon does, instead of laundering them into a v5 shell.
-        let v1 = v2_snapshot().replace("\"version\":2", "\"version\":1");
+        let (envelope, entry) = envelope_and_shard_entry();
+        assert!(
+            envelope.contains(&entry),
+            "fixtures must hit the shard entry"
+        );
+        // A shard entry is a v2 `ServiceSnapshot` and restores through the
+        // shard core's own gate: a gutted entry and a v1 entry are refused
+        // there, naming the shard, instead of being laundered into a
+        // federation by the v5 shell around them.
+        let v1 = entry.replacen("\"version\":2", "\"version\":1", 1);
+        for corrupt in ["{\"version\":2}", v1.as_str()] {
+            let err = ShardCoordinator::from_federated_json(&envelope.replace(&entry, corrupt))
+                .unwrap_err();
+            let ServiceError::BadSnapshot(reason) = err else {
+                panic!("expected BadSnapshot, got {err:?}");
+            };
+            assert!(reason.starts_with("shard 0: "), "{reason}");
+        }
         assert!(matches!(
-            wrap_v2_snapshot(&v1).unwrap_err(),
-            MigrateError::BadSnapshot(_)
+            ShardCoordinator::from_federated_json("not json").unwrap_err(),
+            ServiceError::BadSnapshot(_)
         ));
     }
 }

@@ -9,7 +9,9 @@
 //! `oef-serviced` binary mid-trace and recovers it over loopback TCP, a
 //! rebalance-specific test (the one apply-before-journal path), and a
 //! clean-shutdown test proving the exit checkpoint makes tail replay
-//! unnecessary.
+//! unnecessary.  The last two tests cover the binary's other way in: the
+//! `--restore FILE` path (one format, every other version refused) and the
+//! flags it validates before building anything.
 
 use oef_cluster::ClusterTopology;
 use oef_core::sharded;
@@ -610,4 +612,102 @@ fn kill_nine_mid_trace_recovers_over_the_wire() {
     client.shutdown().unwrap();
     let _ = child.wait();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs the daemon binary with flags it must refuse and returns its stderr,
+/// asserting the exit status is the usage/refusal code.
+fn refused_by_serviced(args: &[&str]) -> String {
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_oef-serviced"))
+        .args(args)
+        .output()
+        .expect("run oef-serviced");
+    let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+    assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+    stderr
+}
+
+/// The one restore path, at the binary: a flagless daemon's wire `Snapshot`
+/// is the v5 envelope, `--restore` of that file resumes it — next round equal
+/// to an in-process twin, pre-snapshot handles and job ids resolving — and a
+/// file of any other version, a bare shard snapshot included, is refused
+/// with the version found and the one supported.
+#[test]
+fn restore_file_resumes_the_daemon_and_other_versions_are_refused() {
+    let dir = fresh_dir("restore");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("state.json");
+    let file_arg = file.to_str().unwrap().to_string();
+
+    let (mut child, addr) = spawn_serviced(&["--addr", "127.0.0.1:0"]);
+    let mut twin = coordinator(1);
+    let mut client = ServiceClient::connect(&addr).unwrap();
+    let mut tenants = Vec::new();
+    let mut jobs = Vec::new();
+    for i in 0..2 {
+        let tenant = client.join(&format!("crash-{i}"), 1, PROFILES[i]).unwrap();
+        jobs.push(client.submit_job(tenant, "model", 2, 1e9).unwrap());
+        twin.apply(join_cmd(i), 0);
+        twin.apply(submit_cmd(tenant), 0);
+        tenants.push(tenant);
+    }
+    assert_rounds_match(&client.tick().unwrap(), &tick_coordinator(&mut twin));
+    let snapshot = client.snapshot().unwrap();
+    assert_eq!(snapshot, twin.snapshot_json().unwrap());
+    std::fs::write(&file, &snapshot).unwrap();
+    client.shutdown().unwrap();
+    let _ = child.wait();
+
+    let (mut child, addr) = spawn_serviced(&["--addr", "127.0.0.1:0", "--restore", &file_arg]);
+    let mut client = ServiceClient::connect(&addr).unwrap();
+    let status = client.status().unwrap();
+    assert_eq!(
+        (status.tenants, status.round, status.shards.len()),
+        (2, 1, 1)
+    );
+    assert_rounds_match(&client.tick().unwrap(), &tick_coordinator(&mut twin));
+    for (&tenant, &job) in tenants.iter().zip(&jobs) {
+        client.update_speedups(tenant, &[1.0, 1.25, 1.6]).unwrap();
+        client.finish_job(tenant, job).unwrap();
+    }
+    client.shutdown().unwrap();
+    let _ = child.wait();
+
+    let bare_shard = twin.shards()[0].snapshot_json().unwrap();
+    let v4 = snapshot.replacen("\"version\":5", "\"version\":4", 1);
+    for (text, found) in [(bare_shard, 2), (v4, 4)] {
+        std::fs::write(&file, text).unwrap();
+        let stderr = refused_by_serviced(&["--addr", "127.0.0.1:0", "--restore", &file_arg]);
+        assert!(
+            stderr.contains(&format!(
+                "version {found} is not supported (coordinator supports 5)"
+            )),
+            "{stderr}"
+        );
+    }
+    // The envelope carries the shard count; a flag that contradicts it is
+    // refused before the file is even read.
+    let stderr = refused_by_serviced(&["--restore", &file_arg, "--shards", "2"]);
+    assert!(stderr.contains("--shards"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Flags are refused by presence, not by comparing their value with the
+/// default, and the placement name is checked at every shard count.
+#[test]
+fn journal_and_placement_flags_are_validated_before_anything_is_built() {
+    let stderr = refused_by_serviced(&["--addr", "127.0.0.1:0", "--fsync-every", "1"]);
+    assert!(
+        stderr.contains("--fsync-every needs --journal-dir"),
+        "{stderr}"
+    );
+    let stderr = refused_by_serviced(&["--addr", "127.0.0.1:0", "--compact-every", "4096"]);
+    assert!(
+        stderr.contains("--compact-every needs --journal-dir"),
+        "{stderr}"
+    );
+    let stderr = refused_by_serviced(&["--addr", "127.0.0.1:0", "--placement", "bogus"]);
+    assert!(
+        stderr.contains("unknown placement `bogus` (supported: least-loaded, round-robin)"),
+        "{stderr}"
+    );
 }

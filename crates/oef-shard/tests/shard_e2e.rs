@@ -7,14 +7,17 @@
 //! placed *after* the restore (the placement cursor travels with the
 //! envelope).  A second test drives the federation over real loopback TCP
 //! and proves a tenant's handle keeps working while a *different* shard
-//! churns hosts.  A third proves `migrate-snapshot` semantics: a v2 snapshot
-//! wrapped into a v3 envelope serves the same state, same handles, through a
-//! 1-shard coordinator.
+//! churns hosts.  A third is differential: a 1-shard coordinator — what a
+//! flagless `oef-serviced` serves — and a bare `SchedulerService` fed the same
+//! script return the same replies, command for command.
 
 use oef_cluster::ClusterTopology;
 use oef_core::sharded;
-use oef_service::{Command, Response, RoundSummary, Server, ServiceClient, ServiceConfig};
-use oef_shard::{placement_from_name, wrap_v2_snapshot, ShardCoordinator};
+use oef_service::{
+    Command, ErrorCode, Response, RoundSummary, SchedulerService, Server, ServiceClient,
+    ServiceConfig, ServiceLimits,
+};
+use oef_shard::{placement_from_name, FederatedSnapshot, ShardCoordinator};
 
 fn coordinator(shards: usize) -> ShardCoordinator {
     ShardCoordinator::new(
@@ -250,59 +253,160 @@ fn tenant_handle_survives_other_shards_host_churn_over_tcp() {
     server.join();
 }
 
+/// A reply as the wire would carry it, minus the one field that reads the
+/// wall clock (how long this particular solve took).
+fn wire_text(mut reply: Response) -> String {
+    if let Response::RoundCompleted(round) = &mut reply {
+        round.solver_time_secs = 0.0;
+    }
+    serde_json::to_string(&reply).unwrap()
+}
+
+/// The promise the flagless daemon makes now that it is always a federation:
+/// shard 0 is the identity handle encoding and one shard ticks serially, so
+/// every command a bare service answers, a 1-shard coordinator answers with
+/// the same bytes — handles, round summaries, error codes and messages.
 #[test]
-fn migrated_v2_snapshot_serves_identical_state_through_one_shard() {
-    // Build an unsharded daemon with some state and snapshot it (v2).
-    let mut single = oef_service::SchedulerService::new(
-        ClusterTopology::paper_cluster(),
-        ServiceConfig::default(),
+fn one_shard_coordinator_answers_exactly_as_a_bare_service() {
+    let config = ServiceConfig {
+        limits: ServiceLimits {
+            max_tenants: 3,
+            ..ServiceLimits::default()
+        },
+        ..ServiceConfig::default()
+    };
+    let mut bare = SchedulerService::new(ClusterTopology::paper_cluster(), config.clone()).unwrap();
+    let mut federated = ShardCoordinator::new(
+        vec![ClusterTopology::paper_cluster()],
+        config,
+        placement_from_name("least-loaded").unwrap(),
     )
     .unwrap();
-    let Response::TenantJoined { tenant } = single.apply(
-        Command::TenantJoin {
-            name: "alice".into(),
-            weight: 1,
-            speedup: vec![1.0, 1.2, 1.4],
-        },
-        0,
-    ) else {
-        panic!("join failed");
+    let mut both = |command: Command| -> Response {
+        let from_bare = bare.apply(command.clone(), 0);
+        let from_federation = federated.apply(command.clone(), 0);
+        assert_eq!(
+            wire_text(from_federation),
+            wire_text(from_bare.clone()),
+            "replies diverged on {command:?}"
+        );
+        from_bare
     };
-    single.apply(
-        Command::SubmitJob {
+    let refused = |reply: Response| match reply {
+        Response::Error { code, .. } => code,
+        other => panic!("expected a refusal, got {other:?}"),
+    };
+
+    let profiles: [&[f64]; 3] = [&[1.0, 1.18, 1.39], &[1.0, 1.55, 2.15], &[1.0, 1.25, 1.55]];
+    let mut tenants = Vec::new();
+    for (i, profile) in profiles.iter().enumerate() {
+        let Response::TenantJoined { tenant } = both(Command::TenantJoin {
+            name: format!("tenant-{i}"),
+            weight: 1,
+            speedup: profile.to_vec(),
+        }) else {
+            panic!("join {i} failed");
+        };
+        tenants.push(tenant);
+    }
+    let over_quota = both(Command::TenantJoin {
+        name: "one-too-many".into(),
+        weight: 1,
+        speedup: vec![1.0, 1.3, 1.7],
+    });
+    assert_eq!(refused(over_quota), ErrorCode::QuotaExceeded);
+    let mut jobs = Vec::new();
+    for &tenant in &tenants {
+        let Response::JobSubmitted { job, .. } = both(Command::SubmitJob {
             tenant,
-            model: "m".into(),
+            model: "model".into(),
             workers: 2,
             total_work: 1e9,
+        }) else {
+            panic!("submit failed");
+        };
+        jobs.push(job);
+    }
+    for _ in 0..3 {
+        let Response::RoundCompleted(round) = both(Command::Tick) else {
+            panic!("tick failed");
+        };
+        assert_eq!(round.tenants.len(), 3);
+    }
+    let add_host = || Command::AddHost {
+        gpu_type: 0,
+        num_gpus: 4,
+    };
+    let Response::HostAdded { host } = both(add_host()) else {
+        panic!("add host failed");
+    };
+    both(Command::Tick);
+    both(Command::RemoveHost { handle: host });
+    let dead_host = both(Command::RemoveHost { handle: host });
+    assert_eq!(refused(dead_host), ErrorCode::UnknownHost);
+    let Response::HostAdded { host: readded } = both(add_host()) else {
+        panic!("re-add host failed");
+    };
+    assert_ne!(readded, host, "a removed handle is dead forever");
+    both(Command::UpdateSpeedups {
+        tenant: tenants[1],
+        speedup: vec![1.0, 1.6, 2.3],
+    });
+    both(Command::JobFinished {
+        tenant: tenants[2],
+        job: jobs[2],
+    });
+    both(Command::TenantLeave { tenant: tenants[0] });
+    let Response::RoundCompleted(round) = both(Command::Tick) else {
+        panic!("tick failed");
+    };
+    assert!(round.tenants.iter().all(|t| t.tenant != tenants[0]));
+    let stale = both(Command::SubmitJob {
+        tenant: tenants[0],
+        model: "model".into(),
+        workers: 1,
+        total_work: 1e6,
+    });
+    assert_eq!(refused(stale), ErrorCode::UnknownTenant);
+
+    // `Status` and `Snapshot` are supersets on the federation side: compare
+    // what both report.  The bare core has no shard list or forwarding
+    // table; uptime is a wall clock.
+    let (Response::Status(mut from_bare), Response::Status(mut from_federation)) = (
+        bare.apply(Command::Status, 0),
+        federated.apply(Command::Status, 0),
+    ) else {
+        panic!("status failed");
+    };
+    assert_eq!(from_federation.shards.len(), 1);
+    assert_eq!(from_federation.shards[0].tenants, from_bare.tenants);
+    from_federation.shards.clear();
+    from_bare.uptime_secs = 0.0;
+    from_federation.uptime_secs = 0.0;
+    assert_eq!(from_federation, from_bare);
+
+    // The federation's snapshot is the v5 envelope; its only shard entry is
+    // the bare core's snapshot, byte for byte.
+    let (
+        Response::Snapshot {
+            snapshot: from_bare,
         },
-        0,
-    );
-    single.apply(Command::Tick, 0);
-    let Response::Snapshot { snapshot: v2 } = single.apply(Command::Snapshot, 0) else {
+        Response::Snapshot {
+            snapshot: from_federation,
+        },
+    ) = (
+        bare.apply(Command::Snapshot, 0),
+        federated.apply(Command::Snapshot, 0),
+    )
+    else {
         panic!("snapshot failed");
     };
-
-    // Wrap into a v3 envelope and restore it as a 1-shard federation.
-    let envelope = wrap_v2_snapshot(&v2).unwrap();
-    let json = serde_json::to_string(&envelope).unwrap();
-    let mut federated = ShardCoordinator::from_federated_json(&json).unwrap();
-    assert_eq!(federated.num_shards(), 1);
-    assert_eq!(federated.rounds_run(), 1);
-
-    // Shard 0 is the identity encoding: the v2 tenant handle works verbatim,
-    // and both daemons produce the same next round.
-    let Response::RoundCompleted(single_round) = single.apply(Command::Tick, 0) else {
-        panic!("tick failed");
-    };
-    let Response::RoundCompleted(fed_round) = federated.apply(Command::Tick, 0) else {
-        panic!("tick failed");
-    };
-    assert_rounds_match(
-        std::slice::from_ref(&single_round),
-        std::slice::from_ref(&fed_round),
+    let envelope: FederatedSnapshot = serde_json::from_str(&from_federation).unwrap();
+    assert_eq!(envelope.round, 5);
+    assert!(envelope.forwarding.is_empty());
+    assert_eq!(envelope.shards.len(), 1);
+    assert_eq!(
+        serde_json::to_string(&envelope.shards[0]).unwrap(),
+        from_bare
     );
-    assert_eq!(fed_round.tenants[0].tenant, tenant);
-
-    let r = federated.apply(Command::TenantLeave { tenant }, 0);
-    assert!(matches!(r, Response::TenantLeft { .. }), "{r:?}");
 }

@@ -140,25 +140,20 @@ fn wrong_version_refusals_keep_their_messages() {
     let c = busy_federation(&[(0, 1)]);
     let v5 = c.snapshot_json().unwrap();
 
-    // A bare v2 shard snapshot offered as a federation.
+    // One arm refuses every version but 5 — a bare shard snapshot (2)
+    // offered as a federation included — naming both versions.
     let v2 = c.shards()[0].snapshot_json().unwrap();
-    let reason = refusal(&v2);
-    assert!(reason.contains("v2 single-shard snapshot"), "{reason}");
-    assert!(reason.contains("migrate-snapshot"), "{reason}");
-
-    let reason = refusal(&v5.replacen("\"version\":5", "\"version\":3", 1));
-    assert!(reason.contains("v3 federated envelope"), "{reason}");
-    assert!(reason.contains("predates handle forwarding"), "{reason}");
-
-    let reason = refusal(&v5.replacen("\"version\":5", "\"version\":4", 1));
-    assert!(reason.contains("v4 federated envelope"), "{reason}");
-    assert!(reason.contains("predates the command journal"), "{reason}");
-
-    let reason = refusal(&v5.replacen("\"version\":5", "\"version\":9", 1));
-    assert!(
-        reason.contains("federated snapshot version 9 is not supported"),
-        "{reason}"
+    assert_eq!(
+        refusal(&v2),
+        "federated snapshot version 2 is not supported (coordinator supports 5)"
     );
+    for other in [3, 4, 9] {
+        let reason = refusal(&v5.replacen("\"version\":5", &format!("\"version\":{other}"), 1));
+        assert_eq!(
+            reason,
+            format!("federated snapshot version {other} is not supported (coordinator supports 5)")
+        );
+    }
     let reason = refusal(&v5.replacen("\"version\":5", "\"version\":\"5\"", 1));
     assert!(reason.contains("no numeric `version` field"), "{reason}");
 
@@ -178,7 +173,7 @@ fn wrong_version_refusals_keep_their_messages() {
         reason.contains("snapshot version 1 is not supported"),
         "{reason}"
     );
-    // The unsharded daemon refuses the same entry with the same words.
+    // The shard core on its own refuses the same entry with the same words.
     let v1 = v2.replacen("\"version\":2", "\"version\":1", 1);
     let Err(ServiceError::BadSnapshot(unsharded)) = SchedulerService::from_snapshot_json(&v1)
     else {

@@ -10,7 +10,7 @@
 //! and the tenant leaves `linger_rounds` after its last arrival.  With
 //! `host_churn_every_rounds` set, transient hosts also join and leave on a
 //! fixed cadence so the stream exercises topology churn against the stable
-//! host-handle layer.  The driver (`service_soak`, tests) walks rounds
+//! host-handle layer.  The driver (`rebalance_e2e`) walks rounds
 //! `0..rounds`, applies the events due at each round, then ticks.
 
 use crate::trace::Trace;
