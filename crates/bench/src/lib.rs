@@ -1,10 +1,10 @@
 //! # oef-bench — shared helpers for the experiment harness
 //!
-//! Each binary in `src/bin` regenerates one table or figure of the paper's evaluation
-//! section (see `DESIGN.md` for the experiment index).  The helpers here keep those
-//! binaries small: building the standard tenant mixes, running policy comparisons
-//! through the simulator, and printing aligned tables plus machine-readable JSON lines
-//! that `EXPERIMENTS.md` records.
+//! The paper's evaluation setups, shared by `tests/paper_claims.rs` (Table 1 and the
+//! ordinal results of the evaluation figures, as assertions), the `fig10_overhead`
+//! binary and the criterion benches: the standard tenant mixes, steady-state policy
+//! comparisons through the simulator, and aligned tables plus machine-readable
+//! `JSON {...}` lines for printed results.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -86,7 +86,7 @@ pub fn run_steady_state(
 }
 
 /// One row of a policy-comparison table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PolicyThroughput {
     /// Policy name.
     pub policy: String,
@@ -94,10 +94,6 @@ pub struct PolicyThroughput {
     pub estimated: f64,
     /// Average total actual throughput.
     pub actual: f64,
-    /// Straggler-affected workers accumulated over the run.
-    pub straggler_workers: u64,
-    /// Cross-GPU-type placements accumulated over the run.
-    pub cross_type_placements: u64,
 }
 
 /// Placement configuration a policy runs with in end-to-end comparisons: the OEF
@@ -112,26 +108,6 @@ pub fn placer_for(policy_name: &str) -> oef_cluster::DevicePlacer {
     }
 }
 
-fn measure_policy(
-    policy: &dyn AllocationPolicy,
-    profiles: &[(String, SpeedupVector)],
-    jobs_per_tenant: usize,
-    rounds: usize,
-) -> PolicyThroughput {
-    let config = SimulationConfig {
-        placer: placer_for(policy.name()),
-        ..SimulationConfig::default()
-    };
-    let report = run_steady_state(policy, profiles, jobs_per_tenant, rounds, config);
-    PolicyThroughput {
-        policy: policy.name().to_string(),
-        estimated: report.avg_total_estimated(),
-        actual: report.avg_total_actual(),
-        straggler_workers: report.straggler.affected_workers,
-        cross_type_placements: report.straggler.cross_type_placements,
-    }
-}
-
 /// Runs the steady-state comparison for several policies.  OEF policies use the OEF
 /// placer; baselines use the naive placer (see [`placer_for`]).
 pub fn compare_policies(
@@ -142,81 +118,20 @@ pub fn compare_policies(
 ) -> Vec<PolicyThroughput> {
     policies
         .iter()
-        .map(|policy| measure_policy(policy.as_ref(), profiles, jobs_per_tenant, rounds))
+        .map(|policy| {
+            let config = SimulationConfig {
+                placer: placer_for(policy.name()),
+                ..SimulationConfig::default()
+            };
+            let report =
+                run_steady_state(policy.as_ref(), profiles, jobs_per_tenant, rounds, config);
+            PolicyThroughput {
+                policy: policy.name().to_string(),
+                estimated: report.avg_total_estimated(),
+                actual: report.avg_total_actual(),
+            }
+        })
         .collect()
-}
-
-/// [`compare_policies`] fanned out across OS threads, one per policy.
-///
-/// Each policy owns its own simulation engine and solver context, so the runs
-/// are embarrassingly parallel.  (The offline build uses `std::thread::scope`
-/// rather than `rayon`; for a handful of policy-sized tasks a work-stealing
-/// pool would add nothing.)  Results come back in input order.
-pub fn compare_policies_parallel(
-    policies: &[BoxedPolicy],
-    profiles: &[(String, SpeedupVector)],
-    jobs_per_tenant: usize,
-    rounds: usize,
-) -> Vec<PolicyThroughput> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = policies
-            .iter()
-            .map(|policy| {
-                scope.spawn(move || {
-                    measure_policy(policy.as_ref(), profiles, jobs_per_tenant, rounds)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("policy comparison thread panicked"))
-            .collect()
-    })
-}
-
-/// Runs one policy instance per seed over the §6.3.1 twenty-tenant mix, fanned
-/// out across OS threads, and returns `(seed, report)` pairs in input order.
-///
-/// `policy_factory` is called once per seed on the worker thread, so every run
-/// gets a fresh policy (and with it a fresh warm-start solver context that is
-/// then reused across that run's rounds).
-pub fn run_seed_sweep<F>(
-    policy_factory: F,
-    seeds: &[u64],
-    jobs_per_tenant: usize,
-    rounds: usize,
-) -> Vec<(u64, SimulationReport)>
-where
-    F: Fn() -> BoxedPolicy + Sync,
-{
-    let factory = &policy_factory;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = seeds
-            .iter()
-            .map(|&seed| {
-                scope.spawn(move || {
-                    let policy = factory();
-                    let profiles = twenty_tenant_profiles(seed);
-                    let config = SimulationConfig {
-                        placer: placer_for(policy.name()),
-                        ..SimulationConfig::default()
-                    };
-                    let report = run_steady_state(
-                        policy.as_ref(),
-                        &profiles,
-                        jobs_per_tenant,
-                        rounds,
-                        config,
-                    );
-                    (seed, report)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("seed sweep thread panicked"))
-            .collect()
-    })
 }
 
 /// Prints an aligned table to stdout.
@@ -246,24 +161,10 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Prints a machine-readable record for EXPERIMENTS.md bookkeeping.
+/// Prints a machine-readable `JSON {...}` record of one experiment's results.
 pub fn print_json_record<T: Serialize>(experiment: &str, payload: &T) {
     let value = serde_json::json!({ "experiment": experiment, "data": payload });
     println!("JSON {value}");
-}
-
-/// Formats a float with three significant decimals for table cells.
-pub fn fmt(value: f64) -> String {
-    format!("{value:.3}")
-}
-
-/// Formats a ratio relative to a baseline as `1.23x`.
-pub fn fmt_ratio(value: f64, baseline: f64) -> String {
-    if baseline.abs() < 1e-12 {
-        "n/a".to_string()
-    } else {
-        format!("{:.2}x", value / baseline)
-    }
 }
 
 #[cfg(test)]
@@ -294,55 +195,5 @@ mod tests {
         );
         assert_eq!(report.rounds.len(), 4);
         assert!(report.avg_total_actual() > 0.0);
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(fmt(1.23456), "1.235");
-        assert_eq!(fmt_ratio(2.0, 1.0), "2.00x");
-        assert_eq!(fmt_ratio(2.0, 0.0), "n/a");
-    }
-
-    #[test]
-    fn parallel_comparison_matches_sequential() {
-        let profiles = four_tenant_profiles();
-        let policies: Vec<BoxedPolicy> = vec![
-            Box::new(NonCooperativeOef::default()),
-            Box::new(oef_schedulers::MaxMin::default()),
-        ];
-        let sequential = compare_policies(&policies, &profiles, 2, 3);
-        let parallel = compare_policies_parallel(&policies, &profiles, 2, 3);
-        assert_eq!(sequential.len(), parallel.len());
-        for (s, p) in sequential.iter().zip(parallel.iter()) {
-            assert_eq!(s.policy, p.policy);
-            assert!(
-                (s.estimated - p.estimated).abs() < 1e-9,
-                "{}: {} vs {}",
-                s.policy,
-                s.estimated,
-                p.estimated
-            );
-            assert!((s.actual - p.actual).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn seed_sweep_fans_out_and_preserves_order() {
-        let seeds = [1u64, 2, 3];
-        let results = run_seed_sweep(
-            || Box::new(NonCooperativeOef::default()) as BoxedPolicy,
-            &seeds,
-            1,
-            2,
-        );
-        assert_eq!(results.len(), 3);
-        for ((seed, report), expected) in results.iter().zip(seeds.iter()) {
-            assert_eq!(seed, expected);
-            assert_eq!(report.rounds.len(), 2);
-            // 20 tenants of 4-worker jobs oversubscribe the 24-GPU paper
-            // cluster, so placed (actual) throughput can be zero in a short
-            // run; the fair-share evaluator's promise must still be positive.
-            assert!(report.avg_total_estimated() > 0.0);
-        }
     }
 }

@@ -60,7 +60,8 @@ pub use cluster_spec::ClusterSpec;
 pub use coop::CooperativeOef;
 pub use error::OefError;
 pub use fairness::{
-    EnvyReport, FairnessSummary, ParetoReport, SharingIncentiveReport, StrategyProofnessReport,
+    EnvyReport, FairnessSummary, ParetoReport, Property, SharingIncentiveReport,
+    StrategyProofnessReport,
 };
 pub use handle_map::HandleMap;
 pub use multi_job::{MultiJobAllocation, MultiJobOef, TenantWorkload};

@@ -6,9 +6,11 @@
 //! cluster (which makes the policy sharing-incentive by construction).  Following the
 //! paper's characterisation (Expression (3): every user ends at the same ~1.08 ratio),
 //! the second stage pins every tenant to that equalised ratio rather than letting
-//! non-bottleneck tenants run ahead — which is exactly why the paper finds Gavel
-//! pareto-inefficient and short of optimal efficiency.  Both stages are linear programs
-//! solved with `oef-lp`.
+//! non-bottleneck tenants run ahead.  Measured, the result is Pareto-efficient (the
+//! Pareto LP finds no slack on Expression (1), and at most 2.8e-16 of the total on the
+//! 256 seeded instances of the bench crate's `tests/paper_claims.rs`); what Gavel gives
+//! up is efficiency against the envy-free optimum (4.408 vs cooperative OEF's 4.5 on
+//! Expression (1)).  Both stages are linear programs solved with `oef-lp`.
 
 use oef_core::{Allocation, AllocationPolicy, ClusterSpec, OefError, Result, SpeedupMatrix};
 use oef_lp::{ConstraintOp, Problem, Sense, SimplexOptions};
@@ -89,8 +91,8 @@ impl AllocationPolicy for Gavel {
         // Stage 2: pin every tenant to the equalised ratio (within a tiny numerical
         // band), as in the paper's Expression (3) where all users end at ~1.08x their
         // fair share.  The objective prefers vertices with high total throughput within
-        // that band but cannot lift anyone above the equalised ratio — which is exactly
-        // why the paper finds Gavel pareto-inefficient.
+        // that band but cannot lift anyone above the equalised ratio, which is where
+        // Gavel falls short of the envy-free optimum's efficiency.
         let mut stage2 = Problem::new(Sense::Maximize);
         let vars2: Vec<Vec<oef_lp::Variable>> = (0..n)
             .map(|l| {

@@ -1,9 +1,12 @@
 //! Keeps `docs/prometheus-alerts.yml` honest: every `oef_*` metric the
 //! example alert rules reference must exist in the exposition a live daemon
 //! actually renders.  Without this, a series rename silently turns the
-//! shipped alerts into no-ops — rules on missing metrics never fire.
+//! shipped alerts into no-ops — rules on missing metrics never fire.  And
+//! every fairness rule must be scoped to a policy that promises the property
+//! it pages on, or it pages on the daemon working as designed.
 
 use oef_cluster::ClusterTopology;
+use oef_core::fairness::{self, Property};
 use oef_obs::Registry;
 use oef_service::{Command, Response, ServiceConfig};
 use oef_shard::{placement_from_name, ShardCoordinator};
@@ -28,13 +31,80 @@ fn referenced_metrics(rules: &str) -> BTreeSet<String> {
     names
 }
 
-#[test]
-fn alert_rules_reference_only_live_metrics() {
-    let rules = std::fs::read_to_string(concat!(
+fn rules_file() -> String {
+    std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../docs/prometheus-alerts.yml"
     ))
-    .expect("docs/prometheus-alerts.yml is readable");
+    .expect("docs/prometheus-alerts.yml is readable")
+}
+
+/// The `oef-fairness` group's rules as `(alert, expr)` pairs, the expr's
+/// lines joined.
+fn fairness_rules(rules: &str) -> Vec<(String, String)> {
+    let group = rules
+        .split("- name: ")
+        .find(|group| group.starts_with("oef-fairness"))
+        .expect("the oef-fairness group exists");
+    group
+        .split("- alert: ")
+        .skip(1)
+        .map(|rule| {
+            let alert = rule.lines().next().unwrap_or_default().trim().to_string();
+            let expr: Vec<&str> = rule
+                .lines()
+                .skip_while(|line| !line.trim_start().starts_with("expr:"))
+                .take_while(|line| {
+                    let line = line.trim_start();
+                    !(line.starts_with("for:") || line.starts_with("labels:"))
+                })
+                .collect();
+            (alert, expr.join(" "))
+        })
+        .collect()
+}
+
+#[test]
+fn fairness_alerts_page_only_on_promised_properties() {
+    let paged = [
+        ("oef_sharing_incentive", Property::SharingIncentive),
+        ("oef_max_envy", Property::EnvyFree),
+    ];
+    let rules = fairness_rules(&rules_file());
+    assert!(!rules.is_empty());
+    for (alert, expr) in rules {
+        let properties: Vec<Property> = paged
+            .iter()
+            .filter(|(metric, _)| expr.contains(metric))
+            .map(|&(_, property)| property)
+            .collect();
+        let policies: Vec<&str> = expr
+            .split("policy=\"")
+            .skip(1)
+            .filter_map(|rest| rest.split('"').next())
+            .collect();
+        assert!(!properties.is_empty(), "{alert} pages on no fairness gauge");
+        assert!(
+            !policies.is_empty(),
+            "{alert} is not scoped to a policy: {expr}"
+        );
+        for policy in &policies {
+            for property in &properties {
+                assert!(
+                    fairness::PROMISES
+                        .iter()
+                        .any(|(row, promised)| row == policy && promised.contains(property)),
+                    "{alert} pages on {} for {policy}, which does not promise it",
+                    property.abbreviation()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn alert_rules_reference_only_live_metrics() {
+    let rules = rules_file();
     let referenced = referenced_metrics(&rules);
     assert!(
         referenced.contains("oef_sharing_incentive") && referenced.contains("oef_max_envy"),
