@@ -16,6 +16,7 @@ use crate::command::{
     StatusReport, WireTraceContext,
 };
 use oef_trace::Tracer;
+use serde::Serialize;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -102,6 +103,11 @@ pub struct ServiceClient {
     config: ClientConfig,
     tracer: Option<Tracer>,
     last_trace_id: Option<String>,
+    /// The outgoing line and the incoming one, kept across calls so a
+    /// tick's O(tenants) reply is not regrown from empty every round.  Each
+    /// keeps the capacity of the largest line so far (a snapshot, say).
+    request_line: String,
+    reply_line: String,
 }
 
 impl ServiceClient {
@@ -158,6 +164,8 @@ impl ServiceClient {
             config,
             tracer: None,
             last_trace_id: None,
+            request_line: String::new(),
+            reply_line: String::new(),
         })
     }
 
@@ -214,20 +222,22 @@ impl ServiceClient {
             .as_ref()
             .and_then(Tracer::sample_context)
             .map(WireTraceContext::from_context);
-        let mut line = serde_json::to_string(&request)
+        self.request_line.clear();
+        request
+            .write_json(&mut self.request_line)
             .map_err(|e| ClientError::Protocol(format!("request serialization failed: {e}")))?;
         // One write of line + terminator on the unbuffered socket.
-        line.push('\n');
-        self.writer.write_all(line.as_bytes())?;
+        self.request_line.push('\n');
+        self.writer.write_all(self.request_line.as_bytes())?;
 
-        let mut reply_line = String::new();
-        let read = self.reader.read_line(&mut reply_line)?;
+        self.reply_line.clear();
+        let read = self.reader.read_line(&mut self.reply_line)?;
         if read == 0 {
             return Err(ClientError::Protocol(
                 "connection closed before reply".to_string(),
             ));
         }
-        let reply: Reply = serde_json::from_str(reply_line.trim_end())
+        let reply: Reply = serde_json::from_str(self.reply_line.trim_end())
             .map_err(|e| ClientError::Protocol(format!("malformed reply: {e}")))?;
         if reply.id != id {
             return Err(ClientError::Protocol(format!(

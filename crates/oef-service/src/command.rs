@@ -489,12 +489,10 @@ pub enum Response {
 
 /// One request line on the wire.
 ///
-/// `Serialize`/`Deserialize` are hand-written (not derived) because the
-/// `trace` field is *optional on the wire*: a `None` trace is omitted
-/// entirely (not sent as `null`), and a missing field deserializes to
-/// `None`.  That is what makes v2.1 backward- and forward-compatible — the
-/// derive in the serde shim requires every named field to be present.
-#[derive(Debug, Clone, PartialEq)]
+/// The `trace` field is *optional on the wire*: a `None` trace is omitted
+/// entirely (not sent as `null`), and a missing field reads as `None`.  That
+/// is what makes v2.1 backward- and forward-compatible.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Request {
     /// Client-chosen correlation id, echoed in the [`Reply`].
     pub id: u64,
@@ -502,6 +500,7 @@ pub struct Request {
     pub command: Command,
     /// Optional trace context (protocol v2.1); absent = untraced v2.0
     /// request.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub trace: Option<WireTraceContext>,
 }
 
@@ -516,53 +515,11 @@ impl Request {
     }
 }
 
-impl Serialize for Request {
-    fn serialize(&self) -> serde::Value {
-        let mut fields = vec![
-            ("id".to_string(), self.id.serialize()),
-            ("command".to_string(), self.command.serialize()),
-        ];
-        if let Some(trace) = &self.trace {
-            fields.push(("trace".to_string(), trace.serialize()));
-        }
-        serde::Value::Object(fields)
-    }
-
-    fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
-        out.push_str("{\"id\":");
-        self.id.write_json(out)?;
-        out.push_str(",\"command\":");
-        self.command.write_json(out)?;
-        if let Some(trace) = &self.trace {
-            out.push_str(",\"trace\":");
-            trace.write_json(out)?;
-        }
-        out.push('}');
-        Ok(())
-    }
-}
-
-impl Deserialize for Request {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        let fields = value
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("Request: expected an object"))?;
-        let id = u64::deserialize(serde::get_field(fields, "id")?)?;
-        let command = Command::deserialize(serde::get_field(fields, "command")?)?;
-        let trace = match value.get("trace") {
-            None | Some(serde::Value::Null) => None,
-            Some(v) => Some(WireTraceContext::deserialize(v)?),
-        };
-        Ok(Self { id, command, trace })
-    }
-}
-
 /// One reply line on the wire.
 ///
-/// Hand-written serde for the same reason as [`Request`]: the `trace_id`
-/// echo is omitted when absent, and tolerated as missing, so v2.0 and v2.1
-/// peers interoperate in both directions.
-#[derive(Debug, Clone, PartialEq)]
+/// The `trace_id` echo is omitted when absent, and tolerated as missing, so
+/// v2.0 and v2.1 peers interoperate in both directions.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Reply {
     /// Correlation id of the request this answers.
     pub id: u64,
@@ -572,6 +529,7 @@ pub struct Reply {
     /// digits), echoed so the client can fetch the trace from `/traces`.
     /// Present when the daemon recorded the command or the request carried
     /// a trace context; absent on an untraced exchange (v2.0 shape).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub trace_id: Option<String>,
 }
 
@@ -583,51 +541,6 @@ impl Reply {
             response,
             trace_id: None,
         }
-    }
-}
-
-impl Serialize for Reply {
-    fn serialize(&self) -> serde::Value {
-        let mut fields = vec![
-            ("id".to_string(), self.id.serialize()),
-            ("response".to_string(), self.response.serialize()),
-        ];
-        if let Some(trace_id) = &self.trace_id {
-            fields.push(("trace_id".to_string(), trace_id.serialize()));
-        }
-        serde::Value::Object(fields)
-    }
-
-    fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
-        out.push_str("{\"id\":");
-        self.id.write_json(out)?;
-        out.push_str(",\"response\":");
-        self.response.write_json(out)?;
-        if let Some(trace_id) = &self.trace_id {
-            out.push_str(",\"trace_id\":");
-            trace_id.write_json(out)?;
-        }
-        out.push('}');
-        Ok(())
-    }
-}
-
-impl Deserialize for Reply {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        let fields = value
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("Reply: expected an object"))?;
-        let id = u64::deserialize(serde::get_field(fields, "id")?)?;
-        let response = Response::deserialize(serde::get_field(fields, "response")?)?;
-        let trace_id = match value.get("trace_id") {
-            None | Some(serde::Value::Null) => None,
-            Some(v) => Some(String::deserialize(v)?),
-        };
-        Ok(Self {
-            id,
-            response,
-            trace_id,
-        })
     }
 }
 

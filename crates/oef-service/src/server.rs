@@ -19,6 +19,7 @@ use crate::command::{Command, ErrorCode, Reply, Request, Response, WireTraceCont
 use crate::queue::{BoundedQueue, PushError};
 use crate::service::SchedulerService;
 use oef_trace::{PendingTrace, TraceContext, Tracer};
+use serde::Serialize;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -343,6 +344,10 @@ fn serve_connection(
     stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let reader = BufReader::new(stream);
+    // Every reply is encoded into this one buffer, so a tick's O(tenants)
+    // line is not regrown from empty on every round.  It keeps the capacity
+    // of the connection's largest reply (a snapshot, say) until it closes.
+    let mut reply_line = String::new();
     for line in reader.lines() {
         let line = line?;
         if line.trim().is_empty() {
@@ -403,11 +408,13 @@ fn serve_connection(
         // One `write_all` of line + terminator: the socket is unbuffered, so
         // a separate newline write would be a second syscall (and, with
         // Nagle off, a second segment) per reply.
-        let written = serde_json::to_string(&reply)
+        reply_line.clear();
+        let written = reply
+            .write_json(&mut reply_line)
             .map_err(std::io::Error::other)
-            .and_then(|mut line| {
-                line.push('\n');
-                writer.write_all(line.as_bytes())
+            .and_then(|()| {
+                reply_line.push('\n');
+                writer.write_all(reply_line.as_bytes())
             });
         let write_ns = write_started.elapsed().as_nanos() as u64;
         oef_trace::profile::record("reply_write", write_ns);

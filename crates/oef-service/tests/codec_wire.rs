@@ -1,8 +1,14 @@
 //! The wire codec as the daemon uses it: requests, replies and snapshots are
 //! written without a `Value` tree, and must be byte for byte what the tree
-//! path wrote; hostile lines and non-BMP names go through a real loopback
-//! `Server`; a large `Tick` reply decodes in linear time.
+//! path wrote; they are read without one too, and the typed reader must
+//! agree with the tree reader on near-miss lines; hostile lines and non-BMP
+//! names go through a real loopback `Server`; a large `Tick` reply decodes
+//! in linear time.
 
+#[path = "../../shims/serde_json/tests/support/mutate.rs"]
+mod mutate;
+
+use mutate::{mutate, typed_matches_tree};
 use oef_cluster::ClusterTopology;
 use oef_service::{
     Command, ErrorCode, Reply, Request, Response, RoundSummary, SchedulerService, Server,
@@ -242,6 +248,69 @@ proptest! {
     }
 }
 
+/// A small reply of any kind the client decodes: a short tick, an error, a
+/// multi-field variant or a bare unit variant, traced or not.
+fn any_small_reply(rng: &mut TestRng) -> Reply {
+    let id = rng.next_u64();
+    let mut reply = match rng.next_u64() % 4 {
+        0 => tick_reply(id, (rng.next_u64() % 6) as usize, rng),
+        1 => Reply::new(
+            id,
+            Response::Error {
+                code: ErrorCode::UnknownTenant,
+                message: name(rng),
+            },
+        ),
+        2 => Reply::new(
+            id,
+            Response::TenantMigrated {
+                tenant: rng.next_u64(),
+                previous: rng.next_u64(),
+                from: 0,
+                to: 3,
+            },
+        ),
+        _ => Reply::new(id, Response::ShuttingDown),
+    };
+    if coin(rng) {
+        reply.trace_id = Some(format!("{:016x}", rng.next_u64()));
+    }
+    reply
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn typed_decoding_agrees_with_the_tree_on_near_miss_wire_lines(
+        command in AnyCommand,
+        seed in 0u64..=u64::MAX,
+    ) {
+        let mut rng = TestRng::deterministic(&seed.to_string());
+        let mut request = Request::new(seed, command.clone());
+        if coin(&mut rng) {
+            request.trace = Some(WireTraceContext {
+                trace_id: format!("{seed:016x}"),
+                parent_span: "0".to_string(),
+                sampled: coin(&mut rng),
+            });
+        }
+        let command_line = serde_json::to_string(&command).unwrap();
+        let request_line = serde_json::to_string(&request).unwrap();
+        let reply_line = serde_json::to_string(&any_small_reply(&mut rng)).unwrap();
+        for _ in 0..12 {
+            for verdict in [
+                typed_matches_tree::<Command>(&mutate(&command_line, &mut rng)),
+                typed_matches_tree::<Request>(&mutate(&request_line, &mut rng)),
+                typed_matches_tree::<Reply>(&mutate(&reply_line, &mut rng)),
+                typed_matches_tree::<Request>(&mutate(&mutate(&request_line, &mut rng), &mut rng)),
+            ] {
+                prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -284,6 +353,82 @@ fn a_four_thousand_tenant_tick_reply_decodes_in_linear_time() {
         "decoding a {}-byte Tick reply took {elapsed:?}; the codec is super-linear again",
         line.len()
     );
+}
+
+#[test]
+fn a_request_nested_ten_thousand_levels_deep_is_refused_without_overflowing_the_stack() {
+    let arrays = |inner: &str| format!("{}{inner}{}", "[".repeat(10_000), "]".repeat(10_000));
+    let objects = format!("{}0{}", "{\"a\":".repeat(10_000), "}".repeat(10_000));
+    // The nesting sits where each typed reader meets it: the command itself,
+    // a typed field, an unknown field that is skipped, an optional field.
+    let lines = [
+        format!("{{\"id\":1,\"command\":{}}}", arrays("0")),
+        format!(
+            "{{\"id\":1,\"command\":{{\"TenantJoin\":{{\"name\":\"a\",\"weight\":1,\
+             \"speedup\":{}}}}}}}",
+            arrays("1.0")
+        ),
+        format!(
+            "{{\"id\":1,\"command\":{{\"Restore\":{{\"snapshot\":\"s\",\"extra\":{objects}}}}}}}"
+        ),
+        format!("{{\"id\":1,\"command\":\"Status\",\"trace\":{objects}}}"),
+        format!("{{\"id\":1,\"zz\":{},\"command\":\"Status\"}}", arrays("0")),
+    ];
+    // A small stack: a reader that recursed once per level would die here.
+    let errors = std::thread::Builder::new()
+        .stack_size(256 * 1024)
+        .spawn(move || {
+            lines
+                .iter()
+                .map(|line| serde_json::from_str::<Request>(line).map(|_| ()))
+                .collect::<Vec<_>>()
+        })
+        .unwrap()
+        .join()
+        .expect("the typed reader must not overflow its stack");
+    for result in errors {
+        let err = result.unwrap_err().to_string();
+        assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+    }
+}
+
+#[test]
+fn missing_fields_are_named_and_out_of_range_integers_refused() {
+    for (line, field) in [
+        ("{\"command\":\"Status\"}", "id"),
+        ("{\"id\":1}", "command"),
+        (
+            "{\"id\":1,\"command\":{\"TenantJoin\":{\"name\":\"a\",\"speedup\":[1.0]}}}",
+            "weight",
+        ),
+        (
+            "{\"id\":1,\"command\":\"Tick\",\"trace\":{\"trace_id\":\"1\"}}",
+            "parent_span",
+        ),
+    ] {
+        let err = serde_json::from_str::<Request>(line)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains(&format!("missing field `{field}`")),
+            "{line}: {err}"
+        );
+    }
+    let err = serde_json::from_str::<Reply>("{\"id\":1}")
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("missing field `response`"), "{err}");
+
+    // An integral float names a tenant or job only when it names exactly one.
+    for line in [
+        "{\"id\":9,\"command\":{\"TenantLeave\":{\"tenant\":1e20}}}",
+        "{\"id\":9,\"command\":{\"JobFinished\":{\"tenant\":1,\"job\":9007199254740993.0}}}",
+    ] {
+        assert!(serde_json::from_str::<Request>(line).is_err(), "{line}");
+    }
+    let request: Request =
+        serde_json::from_str("{\"id\":9,\"command\":{\"TenantLeave\":{\"tenant\":4.0}}}").unwrap();
+    assert_eq!(request.command, Command::TenantLeave { tenant: 4 });
 }
 
 fn spawn_daemon() -> Server {
@@ -334,6 +479,30 @@ fn a_hostile_deeply_nested_line_gets_an_error_reply_and_the_daemon_keeps_serving
     );
     assert_eq!(reply.id, 7);
     assert!(matches!(reply.response, Response::Status(_)));
+    // An escaped key is the same key; an integer field refuses 1e20.
+    let reply = exchange(
+        &mut stream,
+        &mut reader,
+        "{\"\\u0069d\":8,\"command\":\"Status\"}",
+    );
+    assert_eq!(reply.id, 8);
+    assert!(matches!(reply.response, Response::Status(_)));
+    let reply = exchange(
+        &mut stream,
+        &mut reader,
+        "{\"id\":9,\"command\":{\"TenantLeave\":{\"tenant\":1e20}}}",
+    );
+    assert!(
+        matches!(
+            &reply.response,
+            Response::Error {
+                code: ErrorCode::InvalidArgument,
+                ..
+            }
+        ),
+        "{:?}",
+        reply.response
+    );
     let mut client = ServiceClient::connect(server.local_addr()).unwrap();
     assert_eq!(client.status().unwrap().tenants, 0);
     client.shutdown().unwrap();

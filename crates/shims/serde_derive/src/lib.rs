@@ -9,21 +9,40 @@
 //! fail the build with an explicit message rather than silently
 //! mis-serializing.
 //!
-//! `Serialize` generates both encoders — the `Value`-tree `serialize` and
-//! the direct `write_json` — from the same field list, so they cannot
-//! disagree on names or order.
+//! Each derive generates both of its trait's paths from the same field list,
+//! so they cannot disagree on names, order or optionality:
+//!
+//! * `Serialize`: `serialize` (builds a `Value` tree) and `write_json`
+//!   (appends JSON text directly).
+//! * `Deserialize`: `deserialize` (reads a `Value` tree) and `from_json`
+//!   (reads straight off the parser).  A struct's `from_json` matches each
+//!   key against the field names in place (a key is borrowed from the input
+//!   unless it holds an escape), fills one `Option` slot per field, keeps the
+//!   first occurrence of a repeated key as the tree's lookup does, and
+//!   validates and skips unknown keys; a missing field's error names it.
+//!   Input of the wrong shape (an array where the object belongs) is handed
+//!   to the tree reader, so both paths fail on it with the same words.
+//!
+//! One field attribute is understood, spelled as in real serde:
+//! `#[serde(default, skip_serializing_if = "path")]` on a named struct's
+//! field.  `default` fills an absent field with `Default::default()`;
+//! `skip_serializing_if` leaves the field out of the output when
+//! `path(&field)` is true.  Together on an `Option` field
+//! (`skip_serializing_if = "Option::is_none"`) they make the field optional
+//! on the wire in both directions.
 //!
 //! Enum representation follows serde's external tagging: unit variants
 //! serialize as the variant-name string, data variants as a single-key object
 //! `{"Variant": payload}` where the payload is the inner value for newtype
 //! variants, an array for wider tuple variants and an object for struct
-//! variants.
+//! variants.  Decoding accepts exactly that: a unit variant only as its
+//! string, any other only as a single-key object.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 enum Shape {
     /// `struct Name { a: A, b: B }` — serialized as an object.
-    Named { name: String, fields: Vec<String> },
+    Named { name: String, fields: Vec<Field> },
     /// `struct Name(Inner);` — serialized transparently as the inner value.
     Newtype { name: String },
     /// `struct Name;` — serialized as `null`.
@@ -48,7 +67,17 @@ enum VariantKind {
     /// array otherwise).
     Tuple(usize),
     /// `C { y: Y }` — serialized as `{"C": {"y": ...}}`.
-    Struct(Vec<String>),
+    Struct(Vec<Field>),
+}
+
+/// A named field and its `#[serde(...)]` options.
+struct Field {
+    name: String,
+    /// `default`: an absent field reads as `Default::default()`.
+    default: bool,
+    /// `skip_serializing_if = "path"`: the field is left out when
+    /// `path(&field)` is true.
+    skip_if: Option<String>,
 }
 
 /// A parsed type: its shape plus its lifetime parameter list (`<'a>`, or
@@ -142,18 +171,22 @@ fn parse_input(input: TokenStream) -> Input {
     Input { generics, shape }
 }
 
-/// Collects field names from a named-struct body, skipping attributes,
-/// visibility and type tokens (commas inside `<...>` or delimiter groups do
-/// not split fields).
-fn parse_named_fields(stream: TokenStream, type_name: &str) -> Vec<String> {
+/// Collects the fields of a named-struct body with their `#[serde(...)]`
+/// options, skipping other attributes, visibility and type tokens (commas
+/// inside `<...>` or delimiter groups do not split fields).
+fn parse_named_fields(stream: TokenStream, type_name: &str) -> Vec<Field> {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
     let mut fields = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        // Skip field attributes.
+        let mut default = false;
+        let mut skip_if = None;
         while i + 1 < tokens.len() {
             match (&tokens[i], &tokens[i + 1]) {
-                (TokenTree::Punct(p), TokenTree::Group(_)) if p.as_char() == '#' => i += 2,
+                (TokenTree::Punct(p), TokenTree::Group(g)) if p.as_char() == '#' => {
+                    parse_field_attribute(g.stream(), type_name, &mut default, &mut skip_if);
+                    i += 2;
+                }
                 _ => break,
             }
         }
@@ -181,7 +214,11 @@ fn parse_named_fields(stream: TokenStream, type_name: &str) -> Vec<String> {
                 "serde shim derive: expected `:` after `{type_name}.{field}`, found `{other}`"
             ),
         }
-        fields.push(field);
+        fields.push(Field {
+            name: field,
+            default,
+            skip_if,
+        });
         // Skip the type up to the next top-level comma.
         let mut angle_depth = 0i32;
         while i < tokens.len() {
@@ -198,6 +235,48 @@ fn parse_named_fields(stream: TokenStream, type_name: &str) -> Vec<String> {
         }
     }
     fields
+}
+
+/// Reads one field attribute: `serde(...)` sets the options it names, any
+/// other attribute (doc comments included) is ignored.
+fn parse_field_attribute(
+    stream: TokenStream,
+    type_name: &str,
+    default: &mut bool,
+    skip_if: &mut Option<String>,
+) {
+    let tokens: Vec<TokenTree> = stream.into_iter().collect();
+    let options = match tokens.as_slice() {
+        [TokenTree::Ident(id), TokenTree::Group(g)] if id.to_string() == "serde" => g.stream(),
+        _ => return,
+    };
+    let options: Vec<TokenTree> = options.into_iter().collect();
+    for option in options.split(|t| matches!(t, TokenTree::Punct(p) if p.as_char() == ',')) {
+        match option {
+            [] => {}
+            [TokenTree::Ident(id)] if id.to_string() == "default" => *default = true,
+            [TokenTree::Ident(id), TokenTree::Punct(eq), TokenTree::Literal(path)]
+                if id.to_string() == "skip_serializing_if" && eq.as_char() == '=' =>
+            {
+                let path = path.to_string();
+                let Some(path) = path.strip_prefix('"').and_then(|p| p.strip_suffix('"')) else {
+                    panic!(
+                        "serde shim derive: `skip_serializing_if` in `{type_name}` takes a string"
+                    );
+                };
+                *skip_if = Some(path.to_string());
+            }
+            other => panic!(
+                "serde shim derive: unsupported serde attribute `{}` in `{type_name}`; \
+                 only `default` and `skip_serializing_if = \"path\"` are understood",
+                other
+                    .iter()
+                    .map(ToString::to_string)
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            ),
+        }
+    }
 }
 
 fn tuple_arity(stream: TokenStream) -> usize {
@@ -258,7 +337,14 @@ fn parse_variants(stream: TokenStream, type_name: &str) -> Vec<VariantDef> {
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 i += 1;
-                VariantKind::Struct(parse_named_fields(g.stream(), type_name))
+                let fields = parse_named_fields(g.stream(), type_name);
+                if fields.iter().any(|f| f.default || f.skip_if.is_some()) {
+                    panic!(
+                        "serde shim derive: serde field attributes are supported on struct \
+                         fields only, not on `{type_name}::{variant}`"
+                    );
+                }
+                VariantKind::Struct(fields)
             }
             _ => VariantKind::Unit,
         };
@@ -279,39 +365,71 @@ fn parse_variants(stream: TokenStream, type_name: &str) -> Vec<VariantDef> {
 }
 
 /// Statements appending `{"a":…,"b":…}` to `__out`, one direct
-/// `write_json` call per field.  `access` maps a field name to the
-/// expression holding it (`self.a` in a struct, the binding `a` in a variant
-/// arm).  Field names are identifiers, so they need no JSON escaping.
-fn write_object_stmts(fields: &[String], access: impl Fn(&str) -> String) -> String {
-    if fields.is_empty() {
+/// `write_json` call per field.  `access` maps a field name to an expression
+/// borrowing it (`&self.a` in a struct, the binding `a` in a variant arm).
+/// Field names are identifiers, so they need no JSON escaping.
+fn write_object_stmts(fields: &[Field], access: impl Fn(&str) -> String) -> String {
+    let Some(first) = fields.first() else {
         return "__out.push_str(\"{}\");\n".to_string();
-    }
+    };
     let mut stmts = String::new();
+    // The object's `{` goes out with the first key, unless that field may be
+    // left out.
+    let mut lead = if first.skip_if.is_some() {
+        stmts.push_str("__out.push('{');\n");
+        ""
+    } else {
+        "{"
+    };
+    // Whether a field before this one is always written, so this one is
+    // never first.
+    let mut after_written = false;
     for (i, field) in fields.iter().enumerate() {
-        let lead = if i == 0 { '{' } else { ',' };
-        stmts.push_str(&format!(
-            "__out.push_str(\"{lead}\\\"{field}\\\":\");\n\
-             ::serde::Serialize::write_json({expr}, __out)?;\n",
-            expr = access(field),
+        let name = &field.name;
+        let expr = access(name);
+        let mut write = String::new();
+        if i > 0 && !after_written {
+            // Only skippable fields came before.  No JSON value ends in `{`,
+            // so the buffer still ends in the object's `{` exactly when none
+            // of them was written.
+            write.push_str("if !__out.ends_with('{') { __out.push(','); }\n");
+        }
+        write.push_str(&format!(
+            "__out.push_str(\"{lead}\\\"{name}\\\":\");\n\
+             ::serde::Serialize::write_json({expr}, __out)?;\n"
         ));
+        match &field.skip_if {
+            Some(path) => stmts.push_str(&format!("if !{path}({expr}) {{\n{write}}}\n")),
+            None => {
+                stmts.push_str(&write);
+                after_written = true;
+            }
+        }
+        lead = if after_written { "," } else { "" };
     }
     stmts.push_str("__out.push('}');\n");
     stmts
 }
 
 /// Derives `serde::Serialize` (shim) for supported shapes.
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let Input { generics, shape } = parse_input(input);
     // (type name, body of `serialize`, body of `write_json`)
     let (name, tree, direct) = match shape {
         Shape::Named { name, fields } => {
             let mut pushes = String::new();
-            for field in &fields {
-                pushes.push_str(&format!(
-                    "__fields.push((::std::string::String::from(\"{field}\"), \
-                     ::serde::Serialize::serialize(&self.{field})));\n"
-                ));
+            for Field { name, skip_if, .. } in &fields {
+                let push = format!(
+                    "__fields.push((::std::string::String::from(\"{name}\"), \
+                     ::serde::Serialize::serialize(&self.{name})));\n"
+                );
+                match skip_if {
+                    Some(path) => {
+                        pushes.push_str(&format!("if !{path}(&self.{name}) {{ {push} }}\n"))
+                    }
+                    None => pushes.push_str(&push),
+                }
             }
             let tree = format!(
                 "let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = \
@@ -391,7 +509,7 @@ fn serialize_variant_arm(name: &str, variant: &VariantDef) -> String {
         VariantKind::Struct(fields) => {
             let entries: Vec<String> = fields
                 .iter()
-                .map(|f| {
+                .map(|Field { name: f, .. }| {
                     format!(
                         "(::std::string::String::from(\"{f}\"), \
                          ::serde::Serialize::serialize({f}))"
@@ -401,7 +519,7 @@ fn serialize_variant_arm(name: &str, variant: &VariantDef) -> String {
             format!(
                 "{name}::{v} {{ {binds} }} => ::serde::Value::Object(::std::vec::Vec::from([\
                  ({tag}, ::serde::Value::Object(::std::vec::Vec::from([{entries}])))])),\n",
-                binds = fields.join(", "),
+                binds = field_names(fields),
                 entries = entries.join(", "),
             )
         }
@@ -441,54 +559,61 @@ fn write_variant_arm(name: &str, variant: &VariantDef) -> String {
                  {object}\
                  __out.push('}}');\n\
              }}\n",
-            binds = fields.join(", "),
+            binds = field_names(fields),
             object = write_object_stmts(fields, str::to_string),
         ),
     }
 }
 
-/// Derives `serde::Deserialize` (shim) for supported shapes.
-#[proc_macro_derive(Deserialize)]
+/// `a, b, c` — a variant's fields as a binding pattern.
+fn field_names(fields: &[Field]) -> String {
+    fields
+        .iter()
+        .map(|f| f.name.as_str())
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
+/// Derives `serde::Deserialize` (shim) for supported shapes: the tree reader
+/// `deserialize` and the direct reader `from_json`.
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let Input { generics, shape } = parse_input(input);
     if !generics.is_empty() {
         panic!("serde shim derive: Deserialize does not support lifetime parameters");
     }
-    let body = match shape {
+    // (type name, body of `deserialize`, body of `from_json`)
+    let (name, tree, direct) = match shape {
         Shape::Named { name, fields } => {
-            let mut inits = String::new();
-            for field in &fields {
-                inits.push_str(&format!(
-                    "{field}: ::serde::Deserialize::deserialize(\
-                     ::serde::get_field(__fields, \"{field}\")?)?,\n"
-                ));
-            }
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn deserialize(__value: &::serde::Value) -> \
-                         ::std::result::Result<Self, ::serde::Error> {{\n\
-                         let __fields = __value.as_object().ok_or_else(|| \
-                             ::serde::Error::custom(\"expected object for {name}\"))?;\n\
-                         ::std::result::Result::Ok({name} {{\n{inits}}})\n\
-                     }}\n\
-                 }}"
-            )
+            let tree = format!(
+                "let __fields = __value.as_object().ok_or_else(|| \
+                     ::serde::Error::custom(\"expected object for {name}\"))?;\n\
+                 ::std::result::Result::Ok({name} {{\n{inits}}})\n",
+                inits = tree_field_inits(&fields, "__fields"),
+            );
+            // Any other shape fails exactly as the tree reader fails on it.
+            let direct = format!(
+                "if __de.peek() != ::std::option::Option::Some(b'{{') {{\n\
+                     return ::serde::from_tree(__de);\n\
+                 }}\n\
+                 ::std::result::Result::Ok({})\n",
+                direct_object(&name, &fields),
+            );
+            (name, tree, direct)
         }
-        Shape::Newtype { name } => format!(
-            "impl ::serde::Deserialize for {name} {{\n\
-                 fn deserialize(__value: &::serde::Value) -> \
-                     ::std::result::Result<Self, ::serde::Error> {{\n\
-                     ::std::result::Result::Ok({name}(::serde::Deserialize::deserialize(__value)?))\n\
-                 }}\n\
-             }}"
+        Shape::Newtype { name } => (
+            name.clone(),
+            format!(
+                "::std::result::Result::Ok({name}(::serde::Deserialize::deserialize(__value)?))\n"
+            ),
+            format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_json(__de)?))\n"),
         ),
-        Shape::Unit { name } => format!(
-            "impl ::serde::Deserialize for {name} {{\n\
-                 fn deserialize(_value: &::serde::Value) -> \
-                     ::std::result::Result<Self, ::serde::Error> {{\n\
-                     ::std::result::Result::Ok({name})\n\
-                 }}\n\
-             }}"
+        Shape::Unit { name } => (
+            name.clone(),
+            format!("let _ = __value;\n::std::result::Result::Ok({name})\n"),
+            // The tree reader accepts any value; the direct one still checks
+            // that it is well-formed JSON.
+            format!("__de.skip_value()?;\n::std::result::Result::Ok({name})\n"),
         ),
         Shape::Enum { name, variants } => {
             let unit_arms: String = variants
@@ -501,45 +626,154 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                     )
                 })
                 .collect();
-            let data_arms: String = variants
-                .iter()
-                .filter(|v| !matches!(v.kind, VariantKind::Unit))
-                .map(|v| deserialize_variant_arm(&name, v))
-                .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn deserialize(__value: &::serde::Value) -> \
-                         ::std::result::Result<Self, ::serde::Error> {{\n\
-                         if let ::std::option::Option::Some(__variant) = __value.as_str() {{\n\
-                             return match __variant {{\n{unit_arms}\
-                                 other => ::std::result::Result::Err(::serde::Error::custom(\
-                                     format!(\"invalid {name} variant string `{{other}}`\"))),\n\
-                             }};\n\
-                         }}\n\
-                         let __fields = __value.as_object().ok_or_else(|| \
-                             ::serde::Error::custom(\
-                                 \"expected variant string or single-key object for {name}\"))?;\n\
-                         if __fields.len() != 1 {{\n\
-                             return ::std::result::Result::Err(::serde::Error::custom(\
-                                 \"expected single-key object for {name}\"));\n\
-                         }}\n\
-                         let (__tag, __payload) = &__fields[0];\n\
-                         match __tag.as_str() {{\n{data_arms}\
-                             other => ::std::result::Result::Err(::serde::Error::custom(\
-                                 format!(\"unknown {name} variant `{{other}}`\"))),\n\
-                         }}\n\
+            let unit_match = format!(
+                "match &*__variant {{\n{unit_arms}\
+                     other => ::std::result::Result::Err(::serde::Error::custom(\
+                         format!(\"invalid {name} variant string `{{other}}`\"))),\n\
+                 }}\n"
+            );
+            let data = |arm: fn(&str, &VariantDef) -> String| -> String {
+                let arms: String = variants
+                    .iter()
+                    .filter(|v| !matches!(v.kind, VariantKind::Unit))
+                    .map(|v| arm(&name, v))
+                    .collect();
+                format!(
+                    "match &*__tag {{\n{arms}\
+                         other => ::std::result::Result::Err(::serde::Error::custom(\
+                             format!(\"unknown {name} variant `{{other}}`\"))),\n\
+                     }}"
+                )
+            };
+            let single_key =
+                format!("::serde::Error::custom(\"expected single-key object for {name}\")");
+            let tree = format!(
+                "if let ::std::option::Option::Some(__variant) = __value.as_str() {{\n\
+                     return {unit_match};\n\
+                 }}\n\
+                 let __fields = __value.as_object().ok_or_else(|| \
+                     ::serde::Error::custom(\
+                         \"expected variant string or single-key object for {name}\"))?;\n\
+                 if __fields.len() != 1 {{\n\
+                     return ::std::result::Result::Err({single_key});\n\
+                 }}\n\
+                 let (__tag, __payload) = &__fields[0];\n\
+                 let __tag = __tag.as_str();\n\
+                 {matched}\n",
+                matched = data(tree_variant_arm),
+            );
+            let direct = format!(
+                "match __de.peek() {{\n\
+                     ::std::option::Option::Some(b'\"') => {{\n\
+                         let __variant = __de.parse_str()?;\n\
+                         {unit_match}\
                      }}\n\
-                 }}"
-            )
+                     ::std::option::Option::Some(b'{{') => {{\n\
+                         let mut __read = ::std::option::Option::None;\n\
+                         __de.parse_object(|__de, __tag| {{\n\
+                             if __read.is_some() {{\n\
+                                 return ::std::result::Result::Err({single_key});\n\
+                             }}\n\
+                             __read = ::std::option::Option::Some({matched}?);\n\
+                             ::std::result::Result::Ok(())\n\
+                         }})?;\n\
+                         __read.ok_or_else(|| {single_key})\n\
+                     }}\n\
+                     _ => ::serde::from_tree(__de),\n\
+                 }}\n",
+                matched = data(direct_variant_arm),
+            );
+            (name, tree, direct)
         }
     };
+    let body = format!(
+        "impl ::serde::Deserialize for {name} {{\n\
+             fn deserialize(__value: &::serde::Value) -> \
+                 ::std::result::Result<Self, ::serde::Error> {{\n{tree}}}\n\
+             fn from_json(__de: &mut ::serde::Deserializer<'_>) -> \
+                 ::std::result::Result<Self, ::serde::Error> {{\n{direct}}}\n\
+         }}"
+    );
     body.parse()
         .expect("serde shim derive: generated Deserialize impl must parse")
 }
 
-/// One tagged-payload `match` arm of the generated `Deserialize` impl for an
-/// enum's data-carrying variant.
-fn deserialize_variant_arm(name: &str, variant: &VariantDef) -> String {
+/// `a: …,` initializers reading each field out of the object entries bound
+/// to `fields` (the tree path).
+fn tree_field_inits(fields: &[Field], entries: &str) -> String {
+    fields
+        .iter()
+        .map(|Field { name, default, .. }| {
+            if *default {
+                format!(
+                    "{name}: match ::serde::find_field({entries}, \"{name}\") {{\n\
+                         ::std::option::Option::Some(__v) => ::serde::Deserialize::deserialize(__v)?,\n\
+                         ::std::option::Option::None => ::std::default::Default::default(),\n\
+                     }},\n"
+                )
+            } else {
+                format!(
+                    "{name}: ::serde::Deserialize::deserialize(\
+                     ::serde::get_field({entries}, \"{name}\")?)?,\n"
+                )
+            }
+        })
+        .collect()
+}
+
+/// An expression that reads an object off `__de` (positioned at its `{`)
+/// into `ctor { … }` (the direct path): one `Option` slot per field, filled
+/// by the first occurrence of its key; later occurrences and unknown keys
+/// are validated and skipped.  A missing field returns its error from the
+/// enclosing function or closure.
+fn direct_object(ctor: &str, fields: &[Field]) -> String {
+    let slots: String = fields
+        .iter()
+        .map(|f| format!("let mut __slot_{} = ::std::option::Option::None;\n", f.name))
+        .collect();
+    let arms: String = fields
+        .iter()
+        .map(|Field { name, .. }| {
+            format!(
+                "\"{name}\" if __slot_{name}.is_none() => {{\n\
+                     __slot_{name} = ::std::option::Option::Some(\
+                         ::serde::Deserialize::from_json(__de)?);\n\
+                 }}\n"
+            )
+        })
+        .collect();
+    let inits: String = fields
+        .iter()
+        .map(|Field { name, default, .. }| {
+            if *default {
+                format!("{name}: __slot_{name}.unwrap_or_default(),\n")
+            } else {
+                format!(
+                    "{name}: match __slot_{name} {{\n\
+                         ::std::option::Option::Some(__v) => __v,\n\
+                         ::std::option::Option::None => return ::std::result::Result::Err(\
+                             ::serde::missing_field(\"{name}\")),\n\
+                     }},\n"
+                )
+            }
+        })
+        .collect();
+    format!(
+        "{{\n{slots}\
+             __de.parse_object(|__de, __key| {{\n\
+                 match &*__key {{\n{arms}\
+                     _ => __de.skip_value()?,\n\
+                 }}\n\
+                 ::std::result::Result::Ok(())\n\
+             }})?;\n\
+             {ctor} {{\n{inits}}}\n\
+         }}"
+    )
+}
+
+/// One tagged-payload `match` arm reading a data-carrying variant out of
+/// `__payload` (the tree path).
+fn tree_variant_arm(name: &str, variant: &VariantDef) -> String {
     let v = &variant.name;
     match &variant.kind {
         VariantKind::Unit => unreachable!("unit variants are handled by the string branch"),
@@ -564,23 +798,80 @@ fn deserialize_variant_arm(name: &str, variant: &VariantDef) -> String {
                 items = items.join(", "),
             )
         }
-        VariantKind::Struct(fields) => {
-            let inits: String = fields
-                .iter()
-                .map(|f| {
+        VariantKind::Struct(fields) => format!(
+            "\"{v}\" => {{\n\
+                 let __inner = __payload.as_object().ok_or_else(|| \
+                     ::serde::Error::custom(\"expected object payload for {name}::{v}\"))?;\n\
+                 ::std::result::Result::Ok({name}::{v} {{\n{inits}}})\n\
+             }}\n",
+            inits = tree_field_inits(fields, "__inner"),
+        ),
+    }
+}
+
+/// One tagged-payload `match` arm reading a data-carrying variant's payload
+/// off `__de` (the direct path), with the tree path's checks and messages.
+fn direct_variant_arm(name: &str, variant: &VariantDef) -> String {
+    let v = &variant.name;
+    match &variant.kind {
+        VariantKind::Unit => unreachable!("unit variants are handled by the string branch"),
+        VariantKind::Tuple(1) => format!(
+            "\"{v}\" => ::std::result::Result::Ok({name}::{v}(\
+             ::serde::Deserialize::from_json(__de)?)),\n"
+        ),
+        VariantKind::Tuple(arity) => {
+            let wrong_arity = format!(
+                "::std::result::Result::Err(::serde::Error::custom(\
+                     \"wrong tuple arity for {name}::{v}\"))"
+            );
+            let slots: String = (0..*arity)
+                .map(|i| format!("let mut __slot_{i} = ::std::option::Option::None;\n"))
+                .collect();
+            let arms: String = (0..*arity)
+                .map(|i| {
                     format!(
-                        "{f}: ::serde::Deserialize::deserialize(\
-                         ::serde::get_field(__inner, \"{f}\")?)?,\n"
+                        "{i} => __slot_{i} = ::std::option::Option::Some(\
+                             ::serde::Deserialize::from_json(__de)?),\n"
+                    )
+                })
+                .collect();
+            let items: Vec<String> = (0..*arity)
+                .map(|i| {
+                    format!(
+                        "match __slot_{i} {{ ::std::option::Option::Some(__v) => __v, \
+                         ::std::option::Option::None => return {wrong_arity} }}"
                     )
                 })
                 .collect();
             format!(
                 "\"{v}\" => {{\n\
-                     let __inner = __payload.as_object().ok_or_else(|| \
-                         ::serde::Error::custom(\"expected object payload for {name}::{v}\"))?;\n\
-                     ::std::result::Result::Ok({name}::{v} {{\n{inits}}})\n\
-                 }}\n"
+                     if __de.peek() != ::std::option::Option::Some(b'[') {{\n\
+                         return ::std::result::Result::Err(::serde::Error::custom(\
+                             \"expected array payload for {name}::{v}\"));\n\
+                     }}\n\
+                     {slots}\
+                     let mut __index = 0usize;\n\
+                     __de.parse_array(|__de| {{\n\
+                         match __index {{\n{arms}\
+                             _ => return {wrong_arity},\n\
+                         }}\n\
+                         __index += 1;\n\
+                         ::std::result::Result::Ok(())\n\
+                     }})?;\n\
+                     ::std::result::Result::Ok({name}::{v}({items}))\n\
+                 }}\n",
+                items = items.join(", "),
             )
         }
+        VariantKind::Struct(fields) => format!(
+            "\"{v}\" => {{\n\
+                 if __de.peek() != ::std::option::Option::Some(b'{{') {{\n\
+                     return ::std::result::Result::Err(::serde::Error::custom(\
+                         \"expected object payload for {name}::{v}\"));\n\
+                 }}\n\
+                 ::std::result::Result::Ok({object})\n\
+             }}\n",
+            object = direct_object(&format!("{name}::{v}"), fields),
+        ),
     }
 }

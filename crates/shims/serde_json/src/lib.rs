@@ -1,9 +1,11 @@
 //! Offline shim for the subset of `serde_json` this workspace uses:
 //! [`to_string`], [`from_str`], the [`json!`] macro and a displayable
-//! [`Value`].  [`to_string`] appends straight into one buffer through
-//! `serde::Serialize::write_json`; [`from_str`] parses into the `serde`
-//! shim's [`serde::Value`] tree in a single pass over the input and reads the
-//! target type out of it.
+//! [`Value`].  Both directions are single-pass and direct:
+//! [`to_string`] appends straight into one buffer through
+//! `serde::Serialize::write_json`, and [`from_str`] reads the target type
+//! straight off the `serde` shim's [`serde::Deserializer`] through
+//! `serde::Deserialize::from_json` — no [`Value`] tree is built unless the
+//! target is one (or a hand-written impl asks for one).
 
 pub use serde::Error;
 
@@ -35,21 +37,13 @@ pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String> {
 /// # Errors
 ///
 /// Returns an error on malformed JSON, on arrays/objects nested deeper than
-/// 128 levels, or when the parsed tree does not match the target type's
-/// shape.
+/// [`serde::MAX_DEPTH`] (128) levels, on anything but whitespace after the
+/// value, or when the value does not match the target type's shape.
 pub fn from_str<T: serde::Deserialize>(input: &str) -> Result<T> {
-    let mut parser = Parser {
-        input,
-        pos: 0,
-        depth: 0,
-    };
-    parser.skip_ws();
-    let value = parser.parse_value()?;
-    parser.skip_ws();
-    if parser.pos != input.len() {
-        return Err(Error::custom("trailing characters after JSON value"));
-    }
-    T::from_value(value)
+    let mut de = serde::Deserializer::new(input);
+    let value = T::from_json(&mut de)?;
+    de.end()?;
+    Ok(value)
 }
 
 /// Builds a [`Value`] from an object / array / expression literal.
@@ -119,260 +113,6 @@ macro_rules! json {
     ({ $($tt:tt)* }) => { $crate::json!(@object [] $($tt)*) };
     ([ $($tt:tt)* ]) => { $crate::json!(@array [] $($tt)*) };
     ($value:expr) => { $crate::to_value(&$value) };
-}
-
-/// Deepest array/object nesting [`from_str`] accepts (the real
-/// `serde_json`'s limit).  The parser is recursive descent and daemons feed
-/// it untrusted lines, so unbounded nesting would be a remote stack overflow.
-const MAX_DEPTH: usize = 128;
-
-/// Recursive-descent parser over a `&str`.  Every delimiter JSON cares about
-/// is ASCII, so scanning works on bytes while slices of `input` taken between
-/// delimiters are valid UTF-8 by construction — no byte is validated twice.
-struct Parser<'a> {
-    input: &'a str,
-    pos: usize,
-    depth: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn bytes(&self) -> &'a [u8] {
-        self.input.as_bytes()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes().get(self.pos).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<()> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::custom(format!(
-                "expected `{}` at byte {}",
-                byte as char, self.pos
-            )))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value> {
-        match self.peek() {
-            Some(b'n') => self.parse_keyword("null", Value::Null),
-            Some(b't') => self.parse_keyword("true", Value::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => self.nested(Self::parse_array),
-            Some(b'{') => self.nested(Self::parse_object),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            _ => Err(Error::custom(format!(
-                "unexpected character at byte {}",
-                self.pos
-            ))),
-        }
-    }
-
-    /// Runs a container parser one nesting level down, refusing documents
-    /// deeper than [`MAX_DEPTH`].
-    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
-        if self.depth == MAX_DEPTH {
-            return Err(Error::custom(format!(
-                "nesting deeper than {MAX_DEPTH} levels at byte {}",
-                self.pos
-            )));
-        }
-        self.depth += 1;
-        let value = parse(self);
-        self.depth -= 1;
-        value
-    }
-
-    fn parse_keyword(&mut self, keyword: &str, value: Value) -> Result<Value> {
-        if self.bytes()[self.pos..].starts_with(keyword.as_bytes()) {
-            self.pos += keyword.len();
-            Ok(value)
-        } else {
-            Err(Error::custom(format!(
-                "invalid keyword at byte {}",
-                self.pos
-            )))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        // Only ASCII was consumed, so both ends are character boundaries.
-        let text = &self.input[start..self.pos];
-        if !is_float {
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::UInt(u));
-            }
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::Int(i));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| Error::custom(format!("invalid number `{text}`")))
-    }
-
-    fn parse_string(&mut self) -> Result<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            // Copy the run up to the next `"` or `\` in one piece.  Both are
-            // ASCII, so they never fall inside a multi-byte character and the
-            // run is a valid `str` slice.
-            let run_start = self.pos;
-            let Some(run_len) = self.bytes()[run_start..]
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\')
-            else {
-                return Err(Error::custom("unterminated string"));
-            };
-            self.pos += run_len;
-            out.push_str(&self.input[run_start..self.pos]);
-            let delimiter = self.bytes()[self.pos];
-            self.pos += 1;
-            if delimiter == b'"' {
-                return Ok(out);
-            }
-            let Some(esc) = self.peek() else {
-                return Err(Error::custom("unterminated escape"));
-            };
-            self.pos += 1;
-            match esc {
-                b'"' => out.push('"'),
-                b'\\' => out.push('\\'),
-                b'/' => out.push('/'),
-                b'n' => out.push('\n'),
-                b'r' => out.push('\r'),
-                b't' => out.push('\t'),
-                b'b' => out.push('\u{8}'),
-                b'f' => out.push('\u{c}'),
-                b'u' => out.push(self.parse_unicode_escape()?),
-                other => {
-                    return Err(Error::custom(format!(
-                        "invalid escape `\\{}`",
-                        other as char
-                    )))
-                }
-            }
-        }
-    }
-
-    /// Decodes what follows a `\u`: four hex digits, or — for characters
-    /// outside the Basic Multilingual Plane — a UTF-16 surrogate pair spelled
-    /// as two consecutive escapes (`😀`).  A surrogate without its
-    /// partner is not a character and is refused.
-    fn parse_unicode_escape(&mut self) -> Result<char> {
-        let first = self.parse_hex4()?;
-        let code = match first {
-            0xD800..=0xDBFF => {
-                if !self.bytes()[self.pos..].starts_with(b"\\u") {
-                    return Err(Error::custom("lone surrogate in \\u escape"));
-                }
-                self.pos += 2;
-                let second = self.parse_hex4()?;
-                if !(0xDC00..=0xDFFF).contains(&second) {
-                    return Err(Error::custom("lone surrogate in \\u escape"));
-                }
-                0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00)
-            }
-            0xDC00..=0xDFFF => return Err(Error::custom("lone surrogate in \\u escape")),
-            bmp => bmp,
-        };
-        char::from_u32(code).ok_or_else(|| Error::custom("invalid \\u code point"))
-    }
-
-    fn parse_hex4(&mut self) -> Result<u32> {
-        let Some(digits) = self.bytes().get(self.pos..self.pos + 4) else {
-            return Err(Error::custom("truncated \\u escape"));
-        };
-        let mut code = 0;
-        for &d in digits {
-            let digit = (d as char)
-                .to_digit(16)
-                .ok_or_else(|| Error::custom("invalid \\u escape"))?;
-            code = code * 16 + digit;
-        }
-        self.pos += 4;
-        Ok(code)
-    }
-
-    fn parse_array(&mut self) -> Result<Value> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(Vec::new()));
-        }
-        let mut items = Vec::new();
-        loop {
-            self.skip_ws();
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(Error::custom("expected `,` or `]` in array")),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value> {
-        self.expect(b'{')?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(Vec::new()));
-        }
-        // Wire structs here mostly carry 5–8 fields; starting at 8 skips the
-        // 4 → 8 regrowth `Vec` would do for them and ends at the same
-        // capacity.
-        let mut fields = Vec::with_capacity(8);
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                _ => return Err(Error::custom("expected `,` or `}` in object")),
-            }
-        }
-    }
 }
 
 #[cfg(test)]

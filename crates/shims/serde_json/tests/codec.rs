@@ -1,13 +1,19 @@
 //! The JSON shim is this workspace's production codec, so it is tested like
 //! one: the direct writer and the tree writer must agree byte for byte on
-//! every shape the derive supports, text must round-trip, hostile nesting
-//! must be refused rather than overflow the stack, and decoding must stay
-//! linear in the size of the input.
+//! every shape the derive supports, the direct reader and the tree reader
+//! must agree on every input (broken ones included), text must round-trip,
+//! hostile nesting must be refused rather than overflow the stack, and
+//! decoding must stay linear in the size of the input.
+
+mod support {
+    pub mod mutate;
+}
 
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 use serde_json::{from_str, to_string, Value};
 use std::time::{Duration, Instant};
+use support::mutate::{mutate, typed_matches_tree};
 
 /// What `to_string` produced before the direct writer existed: build the
 /// tree, render the tree.
@@ -233,6 +239,166 @@ proptest! {
         };
         prop_assert_eq!(to_string(&view).unwrap(), through_tree(&view));
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn the_typed_reader_agrees_with_the_tree_on_near_misses(
+        value in AnyEverything,
+        seed in 0u64..=u64::MAX,
+    ) {
+        let line = to_string(&value).unwrap();
+        prop_assert!(typed_matches_tree::<Everything>(&line).is_ok());
+        let mut rng = TestRng::deterministic(&seed.to_string());
+        for _ in 0..16 {
+            let mutated = mutate(&line, &mut rng);
+            let verdict = typed_matches_tree::<Everything>(&mutated);
+            prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+            let twice = mutate(&mutated, &mut rng);
+            let verdict = typed_matches_tree::<Everything>(&twice);
+            prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+        }
+    }
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Optional {
+    id: u64,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    note: Option<String>,
+    #[serde(default)]
+    tags: Vec<String>,
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct LeadingOptional {
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    first: Option<u8>,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    second: Option<u8>,
+    last: bool,
+}
+
+#[test]
+fn optional_fields_are_left_out_when_empty_and_read_as_absent() {
+    let bare = Optional {
+        id: 1,
+        note: None,
+        tags: Vec::new(),
+    };
+    assert_eq!(to_string(&bare).unwrap(), "{\"id\":1,\"tags\":[]}");
+    assert_eq!(to_string(&bare).unwrap(), through_tree(&bare));
+    assert_eq!(from_str::<Optional>("{\"id\":1}").unwrap(), bare);
+    assert_eq!(
+        from_str::<Optional>("{\"id\":1,\"note\":null}").unwrap(),
+        bare
+    );
+    let full = Optional {
+        id: 2,
+        note: Some("n".into()),
+        tags: vec!["t".into()],
+    };
+    assert_eq!(
+        to_string(&full).unwrap(),
+        "{\"id\":2,\"note\":\"n\",\"tags\":[\"t\"]}"
+    );
+    assert_eq!(
+        from_str::<Optional>(&to_string(&full).unwrap()).unwrap(),
+        full
+    );
+
+    // Separators stay right however many leading fields are left out.
+    for first in [None, Some(1)] {
+        for second in [None, Some(2)] {
+            let value = LeadingOptional {
+                first,
+                second,
+                last: true,
+            };
+            let text = to_string(&value).unwrap();
+            assert_eq!(text, through_tree(&value));
+            assert_eq!(from_str::<LeadingOptional>(&text).unwrap(), value);
+            for line in [text.as_str(), "{\"last\":false}", "{}"] {
+                typed_matches_tree::<LeadingOptional>(line).unwrap();
+            }
+        }
+    }
+    assert_eq!(
+        to_string(&LeadingOptional {
+            first: None,
+            second: Some(2),
+            last: false
+        })
+        .unwrap(),
+        "{\"second\":2,\"last\":false}"
+    );
+}
+
+#[test]
+fn a_missing_field_is_named_on_both_paths() {
+    let line = "{\"Join\":{\"name\":\"a\",\"speedup\":[]}}";
+    let typed = from_str::<Shape>(line).unwrap_err().to_string();
+    assert!(typed.contains("missing field `weight`"), "{typed}");
+    let tree = Shape::deserialize(&from_str::<Value>(line).unwrap())
+        .unwrap_err()
+        .to_string();
+    assert_eq!(typed, tree);
+    let err = from_str::<Optional>("{\"note\":\"n\"}")
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("missing field `id`"), "{err}");
+}
+
+#[test]
+fn the_first_occurrence_of_a_key_wins_and_unknown_keys_are_checked_then_skipped() {
+    let line = "{\"id\":1,\"id\":\"not a number\",\"extra\":{\"deep\":[1,{}]}}";
+    assert_eq!(from_str::<Optional>(line).unwrap().id, 1);
+    typed_matches_tree::<Optional>(line).unwrap();
+    // A later duplicate is skipped, but it must still be JSON.
+    assert!(from_str::<Optional>("{\"id\":1,\"id\":tru}").is_err());
+    assert!(from_str::<Optional>("{\"id\":1,\"extra\":[1,}").is_err());
+    assert!(from_str::<Optional>("{\"id\":1,\"extra\":\"\\ud83d\"}").is_err());
+    // An escaped key is the same key.
+    assert_eq!(from_str::<Optional>("{\"\\u0069d\":5}").unwrap().id, 5);
+}
+
+#[test]
+fn integral_floats_decode_into_integers_only_when_they_name_one_integer() {
+    assert_eq!(from_str::<u64>("3.0").unwrap(), 3);
+    assert_eq!(from_str::<u64>("1e3").unwrap(), 1000);
+    assert_eq!(from_str::<i64>("-2.0").unwrap(), -2);
+    assert_eq!(
+        from_str::<u64>("9007199254740991.0").unwrap(),
+        9_007_199_254_740_991
+    );
+    // 1e20 used to saturate to u64::MAX, 9007199254740993.0 to decode as
+    // 9007199254740992 (a different job id), -1e300 to i64::MIN.  Both
+    // readers share the rule, so both refuse.
+    for text in [
+        "1e20",
+        "9007199254740993.0",
+        "9007199254740992.0",
+        "2.5",
+        "-1.0",
+    ] {
+        assert!(
+            from_str::<u64>(text).is_err(),
+            "{text} must not decode as u64"
+        );
+        assert!(u64::deserialize(&from_str::<Value>(text).unwrap()).is_err());
+    }
+    for text in ["-1e300", "-9007199254740993.0", "1e19"] {
+        assert!(
+            from_str::<i64>(text).is_err(),
+            "{text} must not decode as i64"
+        );
+        assert!(i64::deserialize(&from_str::<Value>(text).unwrap()).is_err());
+    }
+    assert!(from_str::<u8>("300.0").is_err());
+    let job = "{\"Join\":{\"name\":\"a\",\"weight\":1e20,\"speedup\":[]}}";
+    assert!(from_str::<Shape>(job).is_err());
 }
 
 #[test]
